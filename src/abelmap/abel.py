@@ -38,20 +38,16 @@ class InvalidChooserError(ValueError):
     """A representative table does not fit the graph and degree."""
 
 
-def essential_connectivity(g: CurveGraph, connected_only: bool = False):
+def essential_connectivity(g: CurveGraph):
     """inf of k_Z over proper subcurves whose cut has a non-separating node.
 
     Returns math.inf when every cut consists of bridges (the inf over the
-    empty set).  The default scans all proper nonempty subcurves; with
-    connected_only=True only connected subcurves are scanned, which gives
-    the same value (a minimizing subcurve can always be taken connected).
+    empty set).  Scans all proper nonempty subcurves.
     """
     best = INFINITY
     bridges = g.bridges
     for mask in range(1, (1 << g.gamma) - 1):
         zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
-        if connected_only and not gr._induced_connected(g, zs):
-            continue
         cut = gr.cut_edges(g, zs)
         if cut <= bridges:
             continue
@@ -173,14 +169,12 @@ class NaturalStructure:
     sum-of-tails shift per partitional multidegree; the map is unique
     exactly when the curve has no separating node, since then the only
     sum-of-tails multidegree is 0.  The sum-of-tails subgroup has one free
-    generator per separating node.
+    generator per separating node, so separating_node_count is its rank.
     """
 
     exists: bool
     partitional_count: int
     separating_node_count: int
-    sum_of_tails_trivial: bool
-    sum_of_tails_rank: int
     unique: Optional[bool]  # None when no natural map exists
 
 
@@ -193,8 +187,6 @@ def count_natural_structure(g: CurveGraph, d: int) -> NaturalStructure:
         exists=exists,
         partitional_count=len(partitional_multidegrees(g.gamma, d)),
         separating_node_count=nb,
-        sum_of_tails_trivial=nb == 0,
-        sum_of_tails_rank=nb,
         unique=(nb == 0) if exists else None,
     )
 

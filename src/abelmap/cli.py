@@ -16,11 +16,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
-from . import abel, graph as gr, lattice, levels
-from .graph import CurveGraph, DisconnectedCurveError
+from . import abel, lattice, levels
+from .graph import CurveGraph
 from .harness import run_harness
 from .lattice import _lattice
 from .levels import NotATwisterError
@@ -34,23 +34,27 @@ def parse_graph(text: str) -> CurveGraph:
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
     components = doc.get("components")
-    nodes = doc.get("nodes", [])
-    if not isinstance(components, list) or not all(
-        isinstance(c, str) for c in components
-    ):
+    nodes = doc.get("nodes")
+    if not _is_label_list(components):
         raise ValueError('"components" must be a list of labels')
+    if not isinstance(nodes, list):
+        raise ValueError('"nodes" must be a list of label pairs')
     index = {c: i for i, c in enumerate(components)}
     if len(index) != len(components):
         raise ValueError("component labels must be distinct")
     edges = []
     for pair in nodes:
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (_is_label_list(pair) and len(pair) == 2):
             raise ValueError(f"node {pair!r} must be a pair of labels")
         a, b = pair
         if a not in index or b not in index:
             raise ValueError(f"node {pair!r} references an unknown component")
         edges.append((index[a], index[b]))
     return CurveGraph(components, edges)
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def serialize_graph(g: CurveGraph) -> dict:
@@ -77,15 +81,6 @@ class Report:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        payload = json.loads(text)
-        return Report(
-            command=payload["command"],
-            inputs=_decode(payload["inputs"]),
-            outputs=_decode(payload["outputs"]),
-        )
-
 
 def _encode(value):
     if isinstance(value, float) and math.isinf(value):
@@ -94,16 +89,6 @@ def _encode(value):
         return {k: _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    return value
-
-
-def _decode(value):
-    if value == INFINITY_TOKEN:
-        return math.inf
-    if isinstance(value, dict):
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
     return value
 
 
@@ -119,14 +104,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(report: Report, as_json: bool) -> None:
-    if as_json:
-        print(report.to_json())
-    else:
-        for key, value in report.outputs.items():
-            print(f"{key}: {_fmt(value)}")
-
-
 def _parse_vector(text: str, gamma: int, what: str) -> tuple:
     try:
         vec = tuple(int(part) for part in text.replace(" ", "").split(","))
@@ -137,43 +114,244 @@ def _parse_vector(text: str, gamma: int, what: str) -> tuple:
     return vec
 
 
-def _load_graph(path: str) -> CurveGraph:
+# ----- the command table ----------------------------------------------------
+
+INT, VECTOR, PATH = "int", "vector", "path"
+
+
+@dataclass(frozen=True)
+class _Option:
+    """An option of a subcommand; the runner parses VECTORs against g.gamma.
+
+    The report's inputs show an absent option as `absent` (None: left out).
+    """
+
+    flag: str
+    kind: str
+    required: bool = True
+    default: object = None
+    absent: object = None
+    reported: bool = True
+    help: Optional[str] = None
+
+
+COMMANDS: list = []  # filled by @_Command(...), in `abelmap --help` order
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand; decorating compute(g, **options) -> outputs registers it.
+
+    Exit code 1 when the `predicate` output is false.  In text mode
+    `text(outputs, **options)` replaces the `key: value` lines.  Compute
+    steps call the library through module attributes (abel.x), so code that
+    rebinds such an attribute sees the call.
+    """
+
+    name: str
+    help: str
+    options: tuple = ()
+    predicate: Optional[str] = None
+    needs_graph: bool = True
+    text: Optional[Callable[..., str]] = None
+    compute: Optional[Callable[..., dict]] = None
+
+    def __call__(self, compute):
+        COMMANDS.append(replace(self, compute=compute))
+        return compute
+
+
+DEGREE = (_Option("--degree", INT),)
+T = (_Option("--t", VECTOR),)
+
+
+@_Command("info", "graph summary and class group order")
+def _info(g: CurveGraph) -> dict:
+    return {
+        "components": list(g.components), "gamma": g.gamma, "edges": g.edge_count,
+        "loops": len(g.loop_ids), "separating_nodes": sorted(g.bridges),
+        "class_group_order": lattice.class_group_order(g),
+    }
+
+
+@_Command("epsilon", "essential connectivity")
+def _epsilon(g: CurveGraph) -> dict:
+    return {"epsilon": abel.essential_connectivity(g)}
+
+
+@_Command("natural-abel", "does a natural d-th Abel map exist", DEGREE,
+          predicate="natural_abel_map_exists")
+def _natural_abel(g: CurveGraph, degree: int) -> dict:
+    exists = abel.has_natural_abel_map(g, degree)
+    eps = abel.essential_connectivity(g)
+    return {"epsilon": eps, "degree": degree, "natural_abel_map_exists": exists}
+
+
+@_Command("classes", "canonical degree class representatives", DEGREE)
+def _classes(g: CurveGraph, degree: int) -> dict:
+    classes = [c.canonical for c in lattice.enumerate_classes(g, degree)]
+    return {"degree": degree, "count": len(classes), "classes": classes}
+
+
+@_Command("equiv", "are two multidegrees equivalent",
+          (_Option("--d1", VECTOR), _Option("--d2", VECTOR)), predicate="equivalent")
+def _equiv(g: CurveGraph, d1: tuple, d2: tuple) -> dict:
+    return {"d1": d1, "d2": d2, "equivalent": lattice.equivalent(g, d1, d2)}
+
+
+@_Command("canonical-rep", "canonical level expression of t", T)
+def _canonical_rep(g: CurveGraph, t: tuple) -> dict:
+    le = levels.multidegree_levels(g, t)
+    rows = [[m, sorted(g.components[i] for i in zs)] for m, zs in le.levels]
+    return {
+        "t": t, "divisor": le.as_divisor(g.gamma),
+        "degenerate": le.is_degenerate, "levels": rows,
+    }
+
+
+@_Command("s-set", "crossing nodes of a multidegree or divisor",
+          (_Option("--t", VECTOR, False), _Option("--divisor", VECTOR, False)))
+def _s_set(g: CurveGraph, t: Optional[tuple], divisor: Optional[tuple]) -> dict:
+    if (t is None) == (divisor is None):
+        raise ValueError("give exactly one of --t or --divisor")
+    if t is not None:
+        ids = levels.crossing_nodes_of_multidegree(g, t)
+    else:
+        ids = levels.crossing_nodes(g, divisor)
+    nodes = [[e, *(g.components[i] for i in g.edges[e])] for e in sorted(ids)]
+    return {"crossing_nodes": sorted(ids), "nodes": nodes}
+
+
+@_Command("twister-dim", "dimension of the twister family of t", T)
+def _twister_dim(g: CurveGraph, t: tuple) -> dict:
+    return {"t": t, "dim": levels.twister_space_dim(g, t)}
+
+
+@_Command("sum-of-tails", "is the divisor a sum of tails",
+          (_Option("--divisor", VECTOR),), predicate="sum_of_tails")
+def _sum_of_tails(g: CurveGraph, divisor: tuple) -> dict:
+    ok = levels.is_sum_of_tails(g, divisor)
+    return {"divisor": divisor, "sum_of_tails": ok}
+
+
+@_Command("choose-reps", "pick class representatives", DEGREE)
+def _choose_reps(g: CurveGraph, degree: int) -> dict:
+    table = abel.choose_representatives(g, degree).table
+    return {
+        "degree": degree, "classes": [c.canonical for c in table],
+        "reps": list(table.values()),
+    }
+
+
+def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        payload = json.loads(fh.read())
+    if isinstance(payload, dict) and "outputs" in payload:
+        payload = payload["outputs"]  # a full choose-reps --json report
+    if not isinstance(payload, dict) or not isinstance(payload.get("reps"), list):
+        raise ValueError('reps file needs a "reps" list')
+    if payload.get("degree") is not None and payload["degree"] != degree:
+        raise ValueError(
+            f'reps file degree {payload["degree"]} does not match --degree {degree}'
+        )
+    table = {}
+    for rep in payload["reps"]:
+        if not (isinstance(rep, list) and all(type(x) is int for x in rep)):
+            raise ValueError(f"representative {rep!r} must be a list of integers")
+        vec = tuple(rep)
+        if len(vec) != g.gamma:
+            raise ValueError(f"representative {vec} has wrong length")
+        cls = lattice.multidegree_class(g, vec)
+        if cls in table:
+            raise ValueError(f"representatives {table[cls]} and {vec} share a class")
+        table[cls] = vec
+    return abel.RepChooser(degree=degree, table=table)
 
 
-def _level_rows(g: CurveGraph, le) -> list:
-    return [[m, sorted(g.components[i] for i in zs)] for m, zs in le.levels]
+REPS = _Option("--reps", PATH, False, absent="default",
+               help="JSON reps file (from choose-reps --json)")
 
 
-def _node_rows(g: CurveGraph, ids) -> list:
-    return [
-        [e, g.components[g.edges[e][0]], g.components[g.edges[e][1]]]
-        for e in sorted(ids)
+@_Command("is-natural", "does a representative choice work", (*DEGREE, REPS),
+          predicate="natural")
+def _is_natural(g: CurveGraph, degree: int, reps: Optional[str]) -> dict:
+    chooser = None if reps is None else _read_chooser(g, degree, reps)
+    ok = abel.is_natural(g, degree, chooser)
+    return {"degree": degree, "chooser": reps or "default", "natural": ok}
+
+
+@_Command("verify", "brute-force check against the criterion", DEGREE, predicate="agree")
+def _verify(g: CurveGraph, degree: int) -> dict:
+    certified = abel.partitional_pairs_certified(g, degree)
+    criterion = abel.has_natural_abel_map(g, degree)
+    return {
+        "degree": degree, "pairwise_certified": certified,
+        "epsilon_criterion": criterion, "agree": certified == criterion,
+    }
+
+
+def _harness_text(out: dict, max_degree: int, **_) -> str:
+    if out["ok"]:
+        return (
+            f"all {out['graphs']} graphs verified for degrees 1..{max_degree} "
+            f"({out['checks']} checks)"
+        )
+    lines = [f"{len(out['failures'])} failing instances:"]
+    for f in out["failures"]:
+        edges = [tuple(e) for e in f["edges"]]
+        lines.append(f"  components={f['components']} edges={edges} degree={f['degree']}")
+    return "\n".join(lines)
+
+
+HARNESS_OPTIONS = (
+    _Option("--max-gamma", INT),
+    _Option("--max-edges", INT),
+    _Option("--max-degree", INT),
+    _Option("--jobs", INT, False, default=1, reported=False),
+)
+
+
+@_Command("harness", "exhaustive agreement sweep", HARNESS_OPTIONS, predicate="ok",
+          needs_graph=False, text=_harness_text)
+def _harness(g, max_gamma: int, max_edges: int, max_degree: int, jobs: int) -> dict:
+    result = run_harness(max_gamma, max_edges, max_degree, jobs)
+    failures = [
+        {"components": list(c), "edges": [list(e) for e in ed], "degree": d}
+        for c, ed, d in result.failures
     ]
+    return {
+        "graphs": result.graphs, "checks": result.checks,
+        "failures": failures, "ok": result.ok,
+    }
 
 
-def _basis_note(g: CurveGraph) -> str:
-    cols = "; ".join(str(tuple(c)) for c in _lattice(g).basis_cols)
-    return f"lattice basis columns: {cols}"
+# ----- the runner -----------------------------------------------------------
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.cmd is None:
-        parser.print_help()
-        return 2
-    try:
-        return args.run(args)
-    except NotATwisterError as exc:
-        graph_for_basis = getattr(exc, "graph", None)
-        note = f" ({_basis_note(graph_for_basis)})" if graph_for_basis else ""
-        print(f"error: {exc}{note}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _run(cmd: _Command, args: argparse.Namespace) -> int:
+    g, inputs, values = None, {}, {}
+    if cmd.needs_graph:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            g = parse_graph(fh.read())
+        inputs["graph"] = serialize_graph(g)
+    for opt in cmd.options:
+        dest = opt.flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if opt.kind == VECTOR and value is not None:
+            value = _parse_vector(value, g.gamma, opt.flag)
+        values[dest] = value
+        shown = opt.absent if value is None else value
+        if opt.reported and shown is not None:
+            inputs[dest] = shown
+    outputs = cmd.compute(g, **values)
+    if args.json:
+        print(Report(cmd.name, inputs, outputs).to_json())
+    elif cmd.text is not None:
+        print(cmd.text(outputs, **values))
+    else:
+        for key, value in outputs.items():
+            print(f"{key}: {_fmt(value)}")
+    return 0 if cmd.predicate is None or outputs[cmd.predicate] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,321 +359,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="abelmap",
         description="Natural Abel maps of nodal curves from their dual graphs.",
     )
-    parser.set_defaults(cmd=None)
+    parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="cmd")
-
-    def add(name: str, run, needs_graph: bool = True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        if needs_graph:
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.needs_graph:
             p.add_argument("graph", help="path to a JSON graph document")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.set_defaults(run=run)
-        return p
-
-    add("info", _cmd_info, help="graph summary and class group order")
-    add("epsilon", _cmd_epsilon, help="essential connectivity")
-
-    p = add("natural-abel", _cmd_natural_abel, help="does a natural d-th Abel map exist")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("classes", _cmd_classes, help="canonical degree class representatives")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("equiv", _cmd_equiv, help="are two multidegrees equivalent")
-    p.add_argument("--d1", required=True)
-    p.add_argument("--d2", required=True)
-
-    p = add("canonical-rep", _cmd_canonical_rep, help="canonical level expression of t")
-    p.add_argument("--t", required=True)
-
-    p = add("s-set", _cmd_s_set, help="crossing nodes of a multidegree or divisor")
-    p.add_argument("--t")
-    p.add_argument("--divisor")
-
-    p = add("twister-dim", _cmd_twister_dim, help="dimension of the twister family of t")
-    p.add_argument("--t", required=True)
-
-    p = add("sum-of-tails", _cmd_sum_of_tails, help="is the divisor a sum of tails")
-    p.add_argument("--divisor", required=True)
-
-    p = add("choose-reps", _cmd_choose_reps, help="pick class representatives")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("is-natural", _cmd_is_natural, help="does a representative choice work")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--reps", help="JSON reps file (from choose-reps --json)")
-
-    p = add("verify", _cmd_verify, help="brute-force check against the criterion")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("harness", _cmd_harness, needs_graph=False, help="exhaustive agreement sweep")
-    p.add_argument("--max-gamma", type=int, required=True)
-    p.add_argument("--max-edges", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-
+        for opt in cmd.options:
+            p.add_argument(
+                opt.flag,
+                type=int if opt.kind == INT else None,
+                required=opt.required,
+                default=opt.default,
+                help=opt.help,
+            )
+        p.set_defaults(command=cmd)
     return parser
 
 
-def _cmd_info(args) -> int:
-    g = _load_graph(args.graph)
-    report = Report(
-        command="info",
-        inputs={"graph": serialize_graph(g)},
-        outputs={
-            "components": list(g.components),
-            "gamma": g.gamma,
-            "edges": g.edge_count,
-            "loops": len(g.loop_ids),
-            "separating_nodes": sorted(g.bridges),
-            "class_group_order": lattice.class_group_order(g),
-        },
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_epsilon(args) -> int:
-    g = _load_graph(args.graph)
-    report = Report(
-        command="epsilon",
-        inputs={"graph": serialize_graph(g)},
-        outputs={"epsilon": abel.essential_connectivity(g)},
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_natural_abel(args) -> int:
-    g = _load_graph(args.graph)
-    exists = abel.has_natural_abel_map(g, args.degree)
-    report = Report(
-        command="natural-abel",
-        inputs={"graph": serialize_graph(g), "degree": args.degree},
-        outputs={
-            "epsilon": abel.essential_connectivity(g),
-            "degree": args.degree,
-            "natural_abel_map_exists": exists,
-        },
-    )
-    _emit(report, args.json)
-    return 0 if exists else 1
-
-
-def _cmd_classes(args) -> int:
-    g = _load_graph(args.graph)
-    classes = lattice.enumerate_classes(g, args.degree)
-    report = Report(
-        command="classes",
-        inputs={"graph": serialize_graph(g), "degree": args.degree},
-        outputs={
-            "degree": args.degree,
-            "count": len(classes),
-            "classes": [list(c.canonical) for c in classes],
-        },
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_equiv(args) -> int:
-    g = _load_graph(args.graph)
-    d1 = _parse_vector(args.d1, g.gamma, "--d1")
-    d2 = _parse_vector(args.d2, g.gamma, "--d2")
-    eq = lattice.equivalent(g, d1, d2)
-    report = Report(
-        command="equiv",
-        inputs={"graph": serialize_graph(g), "d1": list(d1), "d2": list(d2)},
-        outputs={"d1": list(d1), "d2": list(d2), "equivalent": eq},
-    )
-    _emit(report, args.json)
-    return 0 if eq else 1
-
-
-def _with_basis(g: CurveGraph, exc: NotATwisterError) -> NotATwisterError:
-    exc.graph = g
-    return exc
-
-
-def _cmd_canonical_rep(args) -> int:
-    g = _load_graph(args.graph)
-    t = _parse_vector(args.t, g.gamma, "--t")
+def main(argv: Optional[list] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+        return 2
     try:
-        le = levels.multidegree_levels(g, t)
+        return _run(args.command, args)
     except NotATwisterError as exc:
-        raise _with_basis(g, exc)
-    report = Report(
-        command="canonical-rep",
-        inputs={"graph": serialize_graph(g), "t": list(t)},
-        outputs={
-            "t": list(t),
-            "divisor": list(le.as_divisor(g.gamma)),
-            "degenerate": le.is_degenerate,
-            "levels": _level_rows(g, le),
-        },
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_s_set(args) -> int:
-    g = _load_graph(args.graph)
-    if (args.t is None) == (args.divisor is None):
-        raise ValueError("give exactly one of --t or --divisor")
-    if args.t is not None:
-        t = _parse_vector(args.t, g.gamma, "--t")
-        try:
-            ids = levels.crossing_nodes_of_multidegree(g, t)
-        except NotATwisterError as exc:
-            raise _with_basis(g, exc)
-        inputs = {"graph": serialize_graph(g), "t": list(t)}
-    else:
-        dv = _parse_vector(args.divisor, g.gamma, "--divisor")
-        ids = levels.crossing_nodes(g, dv)
-        inputs = {"graph": serialize_graph(g), "divisor": list(dv)}
-    report = Report(
-        command="s-set",
-        inputs=inputs,
-        outputs={"crossing_nodes": sorted(ids), "nodes": _node_rows(g, ids)},
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_twister_dim(args) -> int:
-    g = _load_graph(args.graph)
-    t = _parse_vector(args.t, g.gamma, "--t")
-    try:
-        dim = levels.twister_space_dim(g, t)
-    except NotATwisterError as exc:
-        raise _with_basis(g, exc)
-    report = Report(
-        command="twister-dim",
-        inputs={"graph": serialize_graph(g), "t": list(t)},
-        outputs={"t": list(t), "dim": dim},
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _cmd_sum_of_tails(args) -> int:
-    g = _load_graph(args.graph)
-    dv = _parse_vector(args.divisor, g.gamma, "--divisor")
-    ok = levels.is_sum_of_tails(g, dv)
-    report = Report(
-        command="sum-of-tails",
-        inputs={"graph": serialize_graph(g), "divisor": list(dv)},
-        outputs={"divisor": list(dv), "sum_of_tails": ok},
-    )
-    _emit(report, args.json)
-    return 0 if ok else 1
-
-
-def _cmd_choose_reps(args) -> int:
-    g = _load_graph(args.graph)
-    chooser = abel.choose_representatives(g, args.degree)
-    report = Report(
-        command="choose-reps",
-        inputs={"graph": serialize_graph(g), "degree": args.degree},
-        outputs={
-            "degree": args.degree,
-            "classes": [list(c.canonical) for c in chooser.table],
-            "reps": [list(rep) for rep in chooser.table.values()],
-        },
-    )
-    _emit(report, args.json)
-    return 0
-
-
-def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.loads(fh.read())
-    if "outputs" in payload:  # accept a full choose-reps --json report
-        payload = payload["outputs"]
-    reps = payload.get("reps")
-    if not isinstance(reps, list):
-        raise ValueError('reps file needs a "reps" list')
-    if payload.get("degree") is not None and payload["degree"] != degree:
-        raise ValueError(
-            f'reps file degree {payload["degree"]} does not match --degree {degree}'
-        )
-    table = {}
-    for rep in reps:
-        vec = tuple(int(x) for x in rep)
-        if len(vec) != g.gamma:
-            raise ValueError(f"representative {vec} has wrong length")
-        table[lattice.multidegree_class(g, vec)] = vec
-    return abel.RepChooser(degree=degree, table=table)
-
-
-def _cmd_is_natural(args) -> int:
-    g = _load_graph(args.graph)
-    if args.reps is not None:
-        chooser = _read_chooser(g, args.degree, args.reps)
-        source = args.reps
-    else:
-        chooser = None
-        source = "default"
-    ok = abel.is_natural(g, args.degree, chooser)
-    report = Report(
-        command="is-natural",
-        inputs={"graph": serialize_graph(g), "degree": args.degree, "reps": source},
-        outputs={"degree": args.degree, "chooser": source, "natural": ok},
-    )
-    _emit(report, args.json)
-    return 0 if ok else 1
-
-
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
-    certified = abel.partitional_pairs_certified(g, args.degree)
-    criterion = abel.has_natural_abel_map(g, args.degree)
-    agree = certified == criterion
-    report = Report(
-        command="verify",
-        inputs={"graph": serialize_graph(g), "degree": args.degree},
-        outputs={
-            "degree": args.degree,
-            "pairwise_certified": certified,
-            "epsilon_criterion": criterion,
-            "agree": agree,
-        },
-    )
-    _emit(report, args.json)
-    return 0 if agree else 1
-
-
-def _cmd_harness(args) -> int:
-    result = run_harness(args.max_gamma, args.max_edges, args.max_degree, args.jobs)
-    report = Report(
-        command="harness",
-        inputs={
-            "max_gamma": args.max_gamma,
-            "max_edges": args.max_edges,
-            "max_degree": args.max_degree,
-        },
-        outputs={
-            "graphs": result.graphs,
-            "checks": result.checks,
-            "failures": [
-                {"components": list(c), "edges": [list(e) for e in ed], "degree": d}
-                for c, ed, d in result.failures
-            ],
-            "ok": result.ok,
-        },
-    )
-    if args.json:
-        print(report.to_json())
-    elif result.ok:
-        print(
-            f"all {result.graphs} graphs verified for degrees 1..{args.max_degree} "
-            f"({result.checks} checks)"
-        )
-    else:
-        print(f"{len(result.failures)} failing instances:")
-        for c, ed, d in result.failures:
-            print(f"  components={list(c)} edges={list(ed)} degree={d}")
-    return 0 if result.ok else 1
+        cols = "; ".join(str(tuple(c)) for c in _lattice(exc.graph).basis_cols)
+        print(f"error: {exc} (lattice basis columns: {cols})", file=sys.stderr)
+        return 2
+    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -133,6 +133,8 @@ def run_harness(
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     work = [
         (g.components, g.edges, max_degree)
         for g in connected_multigraphs(max_gamma, max_edges)

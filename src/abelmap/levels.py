@@ -34,7 +34,11 @@ from .lattice import (
 
 
 class NotATwisterError(ValueError):
-    """The multidegree is not in the twister lattice of the graph."""
+    """The multidegree t is not in the twister lattice of the graph."""
+
+    def __init__(self, graph: CurveGraph, t: Multidegree):
+        super().__init__(f"{t} is not a twister multidegree")
+        self.graph = graph
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def multidegree_levels(g: CurveGraph, t: Iterable[int]) -> LevelExpression:
     tv = _check_vector(g, t, "multidegree")
     dv = twister_divisor(g, tv)
     if dv is None:
-        raise NotATwisterError(f"{tv} is not a twister multidegree")
+        raise NotATwisterError(g, tv)
     le = level_expression(g, dv)
     assert le.is_canonical
     return le
@@ -156,7 +160,7 @@ def crossing_nodes_of_multidegree(g: CurveGraph, t: Iterable[int]) -> NodeSet:
     tv = _check_vector(g, t, "multidegree")
     dv = twister_divisor(g, tv)
     if dv is None:
-        raise NotATwisterError(f"{tv} is not a twister multidegree")
+        raise NotATwisterError(g, tv)
     return crossing_nodes(g, dv)
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from abelmap import CurveGraph, normalize_divisor
+from abelmap.graph import _induced_connected, cut_edges
 
 
 def two_component(delta: int, loops: tuple = ()) -> CurveGraph:
@@ -31,6 +33,23 @@ def star(leaves: int) -> CurveGraph:
 def triangle_with_pendant() -> CurveGraph:
     # 3-cycle on C1..C3 plus C4 hanging off C1 by a bridge
     return CurveGraph(["C1", "C2", "C3", "C4"], [(0, 1), (1, 2), (0, 2), (0, 3)])
+
+
+def epsilon_over_connected_subcurves(g: CurveGraph):
+    """Essential connectivity scanned over connected subcurves only.
+
+    Agrees with the full scan because a minimizing subcurve can always be
+    taken connected.
+    """
+    best = math.inf
+    for mask in range(1, (1 << g.gamma) - 1):
+        zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
+        if not _induced_connected(g, zs):
+            continue
+        cut = cut_edges(g, zs)
+        if not cut <= g.bridges:
+            best = min(best, len(cut))
+    return best
 
 
 def bridge_tails(g: CurveGraph) -> list[frozenset]:

@@ -27,7 +27,14 @@ from abelmap import (
 )
 from abelmap.graph import cut_edges
 from abelmap.harness import connected_multigraphs
-from helpers import cycle, path, star, triangle_with_pendant, two_component
+from helpers import (
+    cycle,
+    epsilon_over_connected_subcurves,
+    path,
+    star,
+    triangle_with_pendant,
+    two_component,
+)
 
 
 def _epsilon_no_bridge_in_cut(g):
@@ -60,7 +67,7 @@ def test_epsilon_examples():
 def test_epsilon_three_forms_agree():
     for g in connected_multigraphs(5, 6):
         full = essential_connectivity(g)
-        conn = essential_connectivity(g, connected_only=True)
+        conn = epsilon_over_connected_subcurves(g)
         no_bridge = _epsilon_no_bridge_in_cut(g)
         assert full == conn == no_bridge
 
@@ -175,13 +182,12 @@ def test_count_natural_structure():
     info = count_natural_structure(g, 1)
     assert info.exists and info.unique
     assert info.partitional_count == 2
-    assert info.sum_of_tails_trivial and info.sum_of_tails_rank == 0
+    assert info.separating_node_count == 0
 
     bridge = path(2)
     info = count_natural_structure(bridge, 1)
     assert info.exists and info.unique is False
     assert info.separating_node_count == 1
-    assert info.sum_of_tails_rank == 1
 
     none = count_natural_structure(two_component(2), 2)
     assert not none.exists and none.unique is None

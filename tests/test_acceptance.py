@@ -202,6 +202,7 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
                 assert has_natural_abel_map(g, d)
                 info = count_natural_structure(g, d)
                 assert info.exists
+                assert info.separating_node_count == g.gamma - 1
                 assert info.unique is (g.gamma == 1)
         # bridge-free graphs that admit natural maps report uniqueness
         for g in connected_multigraphs(4, 5):
@@ -209,7 +210,9 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
                 continue
             for d in range(1, 4):
                 if has_natural_abel_map(g, d):
-                    assert count_natural_structure(g, d).unique is True
+                    info = count_natural_structure(g, d)
+                    assert info.separating_node_count == 0
+                    assert info.unique is True
 
     _run(9, "trees natural for d<=10; bridge-free existence is unique", capsys, body)
 

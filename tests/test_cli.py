@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from abelmap import choose_representatives, cli
 from abelmap.cli import Report, main, parse_graph, serialize_graph
+from abelmap.harness import HarnessResult
 
 TWO_DELTA3 = {
     "components": ["C1", "C2"],
@@ -18,6 +21,69 @@ PATH3 = {
     "components": ["C1", "C2", "C3"],
     "nodes": [["C1", "C2"], ["C2", "C3"]],
 }
+LOOP_BRIDGE = {
+    "components": ["C1", "C2", "C3"],
+    "nodes": [["C1", "C1"], ["C1", "C2"], ["C1", "C2"], ["C2", "C3"]],
+}
+
+# Per graph: its document and the option values the golden runs use.
+GOLDEN_GRAPHS = {
+    "two_delta3": (
+        TWO_DELTA3,
+        {"degree": "2", "t": "3,-3", "d1": "1,0", "d2": "0,1", "divisor": "0,1"},
+    ),
+    "path3": (
+        PATH3,
+        {"degree": "2", "t": "0,1,-1", "d1": "1,0,0", "d2": "0,1,0", "divisor": "0,0,1"},
+    ),
+    "loop_bridge": (
+        LOOP_BRIDGE,
+        {"degree": "2", "t": "2,-1,-1", "d1": "1,0,0", "d2": "0,1,0", "divisor": "0,1,1"},
+    ),
+}
+
+
+def _golden_cases() -> list:
+    cases = []
+    for name, (_, a) in GOLDEN_GRAPHS.items():
+        for cmd, *rest in (
+            ["info"],
+            ["epsilon"],
+            ["natural-abel", "--degree", a["degree"]],
+            ["classes", "--degree", a["degree"]],
+            ["equiv", "--d1", a["d1"], "--d2", a["d2"]],
+            ["canonical-rep", "--t", a["t"]],
+            ["s-set", "--t", a["t"]],
+            ["s-set", "--divisor", a["divisor"]],
+            ["twister-dim", "--t", a["t"]],
+            ["sum-of-tails", "--divisor", a["divisor"]],
+            ["choose-reps", "--degree", a["degree"]],
+            ["is-natural", "--degree", a["degree"]],
+            ["is-natural", "--degree", a["degree"], "--reps", "reps.json"],
+            ["verify", "--degree", a["degree"]],
+        ):
+            for mode in ([], ["--json"]):
+                cases.append((name, [cmd, "graph.json", *rest, *mode]))
+    harness = ["harness", "--max-gamma", "2", "--max-edges", "3", "--max-degree", "2"]
+    cases += [(None, harness + ["--jobs", "1"]), (None, harness + ["--json"])]
+    cases += [  # error paths: exit 2, message on stderr
+        ("two_delta3", ["canonical-rep", "graph.json", "--t", "1,-1"]),
+        ("two_delta3", ["twister-dim", "graph.json", "--t", "1,-1", "--json"]),
+        ("two_delta3", ["s-set", "graph.json", "--t", "1,-1"]),
+        ("loop_bridge", ["canonical-rep", "graph.json", "--t", "1,-1,0", "--json"]),
+        ("path3", ["s-set", "graph.json"]),
+        ("path3", ["s-set", "graph.json", "--t", "0,0,0", "--divisor", "0,0,0"]),
+    ]
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def golden_id(case) -> str:
+    graph, argv = case
+    return " ".join([graph or "-", *argv])
 
 
 @pytest.fixture
@@ -34,6 +100,32 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=golden_id)
+def test_cli_golden(case, tmp_path, monkeypatch, capsys):
+    """Full stdout, stderr and exit code of every subcommand, both modes.
+
+    cli_golden.json was recorded before the CLI became table-driven.
+    """
+    graph, argv = case
+    monkeypatch.chdir(tmp_path)
+    if graph is not None:
+        doc, a = GOLDEN_GRAPHS[graph]
+        (tmp_path / "graph.json").write_text(json.dumps(doc))
+        degree = int(a["degree"])
+        chooser = choose_representatives(parse_graph(json.dumps(doc)), degree)
+        reps = {"degree": degree, "reps": [list(r) for r in chooser.table.values()]}
+        (tmp_path / "reps.json").write_text(json.dumps(reps))
+    code = main(argv)
+    out = capsys.readouterr()
+    assert [code, out.out, out.err] == GOLDEN[golden_id(case)]
+
+
 def test_parse_serialize_round_trip():
     g = parse_graph(json.dumps(TWO_DELTA3))
     assert g.gamma == 2
@@ -45,7 +137,7 @@ def test_parse_serialize_round_trip():
     assert serialize_graph(h) == loop
 
 
-def test_parse_graph_errors():
+def test_parse_graph_errors(graph_file, capsys):
     with pytest.raises(ValueError):
         parse_graph(json.dumps({"components": ["A", "A"], "nodes": []}))
     with pytest.raises(ValueError):
@@ -54,17 +146,28 @@ def test_parse_graph_errors():
         parse_graph(json.dumps({"components": ["A"], "nodes": [["A"]]}))
     with pytest.raises(ValueError):
         parse_graph(json.dumps([1, 2]))
+    for doc, message in [
+        ({"components": ["A", "B"]}, '"nodes" must be a list'),
+        ({"components": ["A", "B"], "nodes": 5}, '"nodes" must be a list'),
+        ({"components": ["A", "B"], "nodes": [[["A"], "B"]]}, "pair of labels"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_graph(json.dumps(doc))
+        assert main(["info", graph_file(doc)]) == 2
+        assert message in _one_line_error(capsys)
 
 
 def test_report_json_round_trip():
     rep = Report(
         command="epsilon",
         inputs={"graph": TWO_DELTA1},
-        outputs={"epsilon": math.inf, "nested": [[1, 2], [3, 4]]},
+        outputs={"epsilon": math.inf, "nested": [[1, 2], (3, 4)]},
     )
-    again = Report.from_json(rep.to_json())
-    assert again == rep
-    assert '"infinity"' in rep.to_json()
+    assert json.loads(rep.to_json()) == {
+        "command": "epsilon",
+        "inputs": {"graph": TWO_DELTA1},
+        "outputs": {"epsilon": "infinity", "nested": [[1, 2], [3, 4]]},
+    }
 
 
 def test_info_command(graph_file, capsys):
@@ -182,6 +285,16 @@ def test_is_natural_rejects_bad_reps_file(graph_file, capsys, tmp_path):
     bad.write_text(json.dumps({"degree": 1, "reps": [[1, 0]]}))  # missing classes
     assert main(["is-natural", f, "--degree", "1", "--reps", str(bad)]) == 2
     assert "classes" in capsys.readouterr().err
+    f2 = graph_file({"components": ["C1", "C2"], "nodes": [["C1", "C2"]] * 2}, "g2.json")
+    for payload, message in [
+        ([1, 2], '"reps" list'),
+        ({"degree": 1, "reps": [[1, 0], 5]}, "representative 5 must be a list"),
+        ({"degree": 1, "reps": [[True, 0], [0, 1]]}, "must be a list of integers"),
+        ({"degree": 1, "reps": [[1, 0], [0, 1], [-1, 2]]}, "(1, 0) and (-1, 2)"),
+    ]:
+        bad.write_text(json.dumps(payload))
+        assert main(["is-natural", f2, "--degree", "1", "--reps", str(bad)]) == 2
+        assert message in _one_line_error(capsys)
 
 
 def test_verify_command(graph_file, capsys):
@@ -215,6 +328,29 @@ def test_harness_command(capsys):
     payload = _json_out(capsys)
     assert payload["outputs"]["ok"] is True
     assert payload["outputs"]["failures"] == []
+    small = ["harness", "--max-gamma", "1", "--max-edges", "1", "--max-degree", "1"]
+    assert main(small + ["--jobs", "0"]) == 2
+    assert "jobs must be >= 1" in _one_line_error(capsys)
+
+
+def test_harness_failures_report(monkeypatch, capsys):
+    failing = HarnessResult(
+        graphs=4, checks=8, failures=((("C1", "C2"), ((0, 1), (0, 1)), 2),)
+    )
+    monkeypatch.setattr(cli, "run_harness", lambda *args: failing)
+    argv = ["harness", "--max-gamma", "2", "--max-edges", "2", "--max-degree", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "1 failing instances:\n"
+        "  components=['C1', 'C2'] edges=[(0, 1), (0, 1)] degree=2\n"
+    )
+    assert main(argv + ["--json"]) == 1
+    assert _json_out(capsys)["outputs"] == {
+        "graphs": 4,
+        "checks": 8,
+        "failures": [{"components": ["C1", "C2"], "edges": [[0, 1], [0, 1]], "degree": 2}],
+        "ok": False,
+    }
 
 
 def test_disconnected_graph_is_an_error(graph_file, capsys):
