@@ -9,18 +9,12 @@ brute force on every small graph.
 """
 
 from .graph import (
-    ContractedGraph,
     CurveGraph,
     DisconnectedCurveError,
     betti,
-    complement,
-    contract_complement,
     cut_edges,
-    cut_size,
-    is_tail,
     pairing,
     separating_nodes,
-    tails,
 )
 from .lattice import (
     DegreeClass,
@@ -28,11 +22,9 @@ from .lattice import (
     class_group_order,
     enumerate_classes,
     equivalent,
-    in_twister_lattice,
     multidegree_class,
     multidegree_of,
     normalize_divisor,
-    total_degree,
     twister_divisor,
 )
 from .levels import (
@@ -68,7 +60,6 @@ from .harness import HarnessResult, connected_multigraphs, run_harness
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractedGraph",
     "CurveGraph",
     "DegreeClass",
     "DisconnectedCurveError",
@@ -85,24 +76,19 @@ __all__ = [
     "choose_representatives",
     "class_group_order",
     "class_has_partitional_rep",
-    "complement",
     "connected_multigraphs",
-    "contract_complement",
     "count_natural_structure",
     "cross_check_naturality",
     "crossing_nodes",
     "crossing_nodes_of_multidegree",
     "cut_edges",
-    "cut_size",
     "enumerate_classes",
     "equivalent",
     "essential_connectivity",
     "has_natural_abel_map",
-    "in_twister_lattice",
     "is_natural",
     "is_sum_of_tails",
     "is_sum_of_tails_multidegree",
-    "is_tail",
     "level_expression",
     "multidegree_class",
     "multidegree_levels",
@@ -113,8 +99,6 @@ __all__ = [
     "partitional_pairs_certified",
     "run_harness",
     "separating_nodes",
-    "tails",
-    "total_degree",
     "twister_divisor",
     "twister_space_dim",
     "validate_chooser",

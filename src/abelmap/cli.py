@@ -28,9 +28,16 @@ from .levels import NotATwisterError
 INFINITY_TOKEN = "infinity"
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def parse_graph(text: str) -> CurveGraph:
     """Build a CurveGraph from a JSON graph document."""
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
     components = doc.get("components")
@@ -245,7 +252,7 @@ def _choose_reps(g: CurveGraph, degree: int) -> dict:
 
 def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.loads(fh.read())
+        payload = _load_json(fh.read())
     if isinstance(payload, dict) and "outputs" in payload:
         payload = payload["outputs"]  # a full choose-reps --json report
     if not isinstance(payload, dict) or not isinstance(payload.get("reps"), list):

@@ -16,13 +16,12 @@ Conventions used throughout the package:
     edges joining them, and (C_i . C_i) = -sum of (C_i . C_j) over j != i,
     so every row of the pairing matrix sums to zero and loops contribute
     nothing;
-  * cut_size(Z) = (Z . Z') counts the non-loop edges joining Z to its
-    complement; a separating node is a bridge of the graph.
+  * the cut of Z, k_Z = (Z . Z'), counts the non-loop edges joining Z to
+    its complement; a separating node is a bridge of the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -55,7 +54,7 @@ class CurveGraph:
                 raise IndexError(f"edge ({a}, {b}) out of range for {g} components")
             norm.append((a, b) if a <= b else (b, a))
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        if not _connected(g, self.edges, exclude=frozenset()):
+        if len(set(_components(g, self.edges))) > 1:
             raise DisconnectedCurveError("dual graph is not connected")
 
     @property
@@ -85,22 +84,13 @@ class CurveGraph:
 
     @cached_property
     def bridges(self) -> NodeSet:
-        """Edge ids of the separating nodes.
-
-        A loop never separates; a parallel edge never separates.  The rest
-        are tested by removal.
-        """
-        seen: dict[tuple[int, int], int] = {}
-        for a, b in self.edges:
-            if a != b:
-                seen[(a, b)] = seen.get((a, b), 0) + 1
-        out = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == b or seen[(a, b)] > 1:
-                continue
-            if not _connected(self.gamma, self.edges, exclude=frozenset([e])):
-                out.append(e)
-        return frozenset(out)
+        """Edge ids of the separating nodes: removing one leaves two components."""
+        edges = self.edges
+        return frozenset(
+            e
+            for e in range(len(edges))
+            if len(set(_components(self.gamma, edges[:e] + edges[e + 1:]))) == 2
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -116,27 +106,24 @@ class CurveGraph:
         return f"CurveGraph({list(self.components)!r}, {list(self.edges)!r})"
 
 
-def _connected(gamma: int, edges, exclude: frozenset) -> bool:
-    # BFS over non-loop edges whose id is not excluded
-    if gamma == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(gamma)]
-    for e, (a, b) in enumerate(edges):
-        if a != b and e not in exclude:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = [False] * gamma
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == gamma
+def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Component label of each vertex 0..gamma-1 under the edges in pairs.
+
+    Union-find; a loop joins nothing.
+    """
+    parent = list(range(gamma))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(v) for v in range(gamma)]
 
 
 def subcurve(g: CurveGraph, indices: Iterable[int]) -> Subcurve:
@@ -146,11 +133,6 @@ def subcurve(g: CurveGraph, indices: Iterable[int]) -> Subcurve:
         if not (0 <= i < g.gamma):
             raise IndexError(f"component index {i} out of range")
     return z
-
-
-def complement(g: CurveGraph, z: Iterable[int]) -> Subcurve:
-    zs = subcurve(g, z)
-    return frozenset(range(g.gamma)) - zs
 
 
 def pairing(g: CurveGraph, z: Iterable[int], w: Iterable[int]) -> int:
@@ -174,67 +156,16 @@ def cut_edges(g: CurveGraph, z: Iterable[int]) -> NodeSet:
     )
 
 
-def cut_size(g: CurveGraph, z: Iterable[int]) -> int:
-    """k_Z = (Z . Z'), the number of nodes along which Z meets the rest.
-
-    Z must be a proper nonempty subcurve.  Equals -(Z . Z).
-    """
-    zs = subcurve(g, z)
-    if not zs or len(zs) == g.gamma:
-        raise ValueError("cut_size needs a proper nonempty subcurve")
-    return len(cut_edges(g, zs))
-
-
 def separating_nodes(g: CurveGraph) -> NodeSet:
     """Edge ids whose removal disconnects the dual graph (the bridges)."""
     return g.bridges
 
 
-@dataclass(frozen=True)
-class ContractedGraph:
-    """Result of contracting every edge outside a chosen node set S.
-
-    members[v] lists the original component indices merged into vertex v;
-    edges are (u, v, edge_id) triples, one per edge of S, endpoints in the
-    contracted graph.  A loop of S stays a loop and still counts in betti.
-    """
-
-    members: tuple  # tuple[frozenset[int], ...]
-    edges: tuple  # tuple[tuple[int, int, int], ...]
-    betti: int
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.members)
-
-
-def contract_complement(g: CurveGraph, s: Iterable[int]) -> ContractedGraph:
-    """Contract all edges not in S; S keeps its edges (loops included).
-
-    The first Betti number of the result is #S + 1 - #vertices, which is
-    zero exactly when S consists of separating nodes.
-    """
-    ss = _node_set(g, s)
-    comp = _components_without(g, ss)
-    groups: dict[int, set[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, set()).add(v)
-    order = sorted(groups, key=lambda c: min(groups[c]))
-    relabel = {c: k for k, c in enumerate(order)}
-    members = tuple(frozenset(groups[c]) for c in order)
-    edges = tuple(
-        (relabel[comp[g.edges[e][0]]], relabel[comp[g.edges[e][1]]], e)
-        for e in sorted(ss)
-    )
-    b = len(ss) + 1 - len(members)
-    return ContractedGraph(members=members, edges=edges, betti=b)
-
-
 def betti(g: CurveGraph, s: Iterable[int]) -> int:
     """First Betti number of the contraction onto S: #S + 1 - #vertices."""
     ss = _node_set(g, s)
-    comp = _components_without(g, ss)
-    return len(ss) + 1 - len(set(comp))
+    kept = [edge for e, edge in enumerate(g.edges) if e not in ss]
+    return len(ss) + 1 - len(set(_components(g.gamma, kept)))
 
 
 def _node_set(g: CurveGraph, s: Iterable[int]) -> NodeSet:
@@ -243,63 +174,3 @@ def _node_set(g: CurveGraph, s: Iterable[int]) -> NodeSet:
         if not (0 <= e < g.edge_count):
             raise IndexError(f"edge id {e} out of range")
     return ss
-
-
-def _components_without(g: CurveGraph, ss: NodeSet) -> list[int]:
-    # connected components of (vertices, edges not in ss), loops irrelevant
-    parent = list(range(g.gamma))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e, (a, b) in enumerate(g.edges):
-        if e not in ss and a != b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return [find(v) for v in range(g.gamma)]
-
-
-def is_tail(g: CurveGraph, q: Iterable[int]) -> bool:
-    """True when the connected proper subcurve Q meets the rest in one node.
-
-    Q and its complement are then joined by a single edge, necessarily a
-    bridge.  Raises if Q is not connected as a subcurve.
-    """
-    qs = subcurve(g, q)
-    if not qs or len(qs) == g.gamma:
-        raise ValueError("a tail is a proper nonempty subcurve")
-    if not _induced_connected(g, qs):
-        raise ValueError("subcurve is not connected")
-    return len(cut_edges(g, qs)) == 1
-
-
-def _induced_connected(g: CurveGraph, zs: Subcurve) -> bool:
-    start = next(iter(zs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for a, b in g.edges:
-            if a == b:
-                continue
-            if a == v and b in zs and b not in seen:
-                seen.add(b)
-                stack.append(b)
-            elif b == v and a in zs and a not in seen:
-                seen.add(a)
-                stack.append(a)
-    return len(seen) == len(zs)
-
-
-def tails(g: CurveGraph) -> list[Subcurve]:
-    """All tails, sorted by (size, sorted members) for determinism."""
-    out = []
-    for mask in range(1, (1 << g.gamma) - 1):
-        zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
-        if _induced_connected(g, zs) and len(cut_edges(g, zs)) == 1:
-            out.append(zs)
-    return sorted(out, key=lambda z: (len(z), sorted(z)))

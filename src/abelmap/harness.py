@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .abel import cross_check_naturality
-from .graph import CurveGraph
+from .graph import CurveGraph, _components
 
 
 def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
@@ -41,26 +41,6 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]):
     return getters
 
 
-def _support_connected(gamma: int, slots, mult) -> bool:
-    if gamma == 1:
-        return True
-    parent = list(range(gamma))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (i, j), m in zip(slots, mult):
-        if m and i != j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    root = find(0)
-    return all(find(v) == root for v in range(gamma))
-
-
 def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> list[tuple]:
     slots = _slots(gamma, loops)
     getters = _perm_getters(gamma, slots) if gamma > 1 else []
@@ -69,7 +49,7 @@ def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> list[tuple]:
 
     def rec(prefix: tuple, budget: int) -> None:
         if len(prefix) == n:
-            if _support_connected(gamma, slots, prefix):
+            if len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1:
                 if gamma == 1:
                     seen.add(prefix)
                 else:

@@ -4,9 +4,11 @@ Everything here works on plain Python ints, so intermediate entries may grow
 without overflow.  Matrices are lists (or tuples) of equal-length rows.
 
 Provided:
-  row_hnf            row-style Hermite normal form with its unimodular transform
-  smith_invariants   diagonal of the Smith normal form
-  det_bareiss        exact determinant by fraction-free elimination
+  row_hnf        row-style Hermite normal form with its unimodular transform
+  det_bareiss    exact determinant by fraction-free elimination
+
+The lattice module reads the class-group order off the Hermite pivots as
+their product, and checks it against a Matrix-Tree determinant.
 """
 
 from __future__ import annotations
@@ -70,75 +72,6 @@ def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
                 _sub_scaled(U[i], U[r], q)
         r += 1
     return H, U
-
-
-def smith_invariants(mat: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form: nonnegative, each dividing the next.
-
-    Zero entries (rank deficiency) come last.  Transforms are not tracked,
-    only the invariant factors are needed here.
-    """
-    A = [list(row) for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    size = min(m, n)
-    t = 0
-    while t < size:
-        # locate a nonzero entry of smallest magnitude in the trailing block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            A[i0], A[t] = A[t], A[i0]
-        if j0 != t:
-            for row in A:
-                row[j0], row[t] = row[t], row[j0]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    _sub_scaled(A[i], A[t], q)
-                    if A[i][t]:
-                        A[i], A[t] = A[t], A[i]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        for i in range(t, m):
-                            A[i][j] -= q * A[i][t]
-                    if A[t][j]:
-                        for i in range(t, m):
-                            A[i][j], A[i][t] = A[i][t], A[i][j]
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _sub_scaled(A[t], A[offender], -1)
-        if A[t][t] < 0:
-            A[t][t] = -A[t][t]
-        t += 1
-    return [A[i][i] if i < t else 0 for i in range(size)]
 
 
 def det_bareiss(mat: Matrix) -> int:

@@ -10,9 +10,9 @@ finite-index sublattice of the degree-0 vectors.
 Two multidegrees of the same total degree are equivalent when their
 difference lies in the twister lattice; the classes of total degree d form a
 finite set whose size is independent of d and equals the number of spanning
-trees of the dual graph.  That count is computed twice, from the Smith
-normal form of the pairing matrix and from a Matrix-Tree determinant, and
-the two must agree.
+trees of the dual graph.  That count is the product of the pivots of the
+Hermite basis of the twister lattice, and it is checked against a
+Matrix-Tree determinant: the two must agree.
 
 All arithmetic is exact on Python ints.  Divisors and multidegrees are
 plain tuples of ints of length gamma.
@@ -26,14 +26,14 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .graph import CurveGraph
-from .intlinalg import det_bareiss, row_hnf, smith_invariants
+from .intlinalg import det_bareiss, row_hnf
 
 Divisor = tuple  # tuple[int, ...]
 Multidegree = tuple  # tuple[int, ...]
 
 
 class LatticeSelfCheckError(RuntimeError):
-    """Internal error: the two independent order computations disagree."""
+    """Internal error: two independent computations of the lattice disagree."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class _LatticeData:
     pivots: tuple  # tuple[(row, value), ...] in increasing row order
     basis_cols: tuple  # basis column per pivot, tuple[tuple[int, ...], ...]
     solve_rows: tuple  # preimage generator per pivot (rows of the transform)
-    invariants: tuple  # nonzero Smith invariant factors of the pairing matrix
     tree_count: int
 
 
@@ -91,24 +90,22 @@ def _lattice(g: CurveGraph) -> _LatticeData:
         raise LatticeSelfCheckError(
             f"pairing matrix rank {len(pivots)} != gamma - 1 = {gamma - 1}"
         )
-    inv = [x for x in smith_invariants(m) if x]
     order = 1
-    for x in inv:
-        order *= x
+    for _, val in pivots:
+        order *= val
     # Matrix-Tree: principal minor of the negated pairing matrix (the
     # Laplacian) counts spanning trees of the dual graph.
     minor = [[-m[i][j] for j in range(1, gamma)] for i in range(1, gamma)]
     trees = det_bareiss(minor)
     if order != trees:
         raise LatticeSelfCheckError(
-            f"invariant-factor product {order} != spanning-tree count {trees}"
+            f"Hermite pivot product {order} != spanning-tree count {trees}"
         )
     return _LatticeData(
         gamma=gamma,
         pivots=tuple(pivots),
         basis_cols=tuple(basis_cols),
         solve_rows=tuple(solve_rows),
-        invariants=tuple(inv),
         tree_count=trees,
     )
 
@@ -125,10 +122,6 @@ def multidegree_of(g: CurveGraph, d: Iterable[int]) -> Multidegree:
     dv = _check_vector(g, d, "divisor")
     m = g.pairing_matrix
     return tuple(sum(m[i][j] * dv[j] for j in range(g.gamma)) for i in range(g.gamma))
-
-
-def total_degree(t: Iterable[int]) -> int:
-    return sum(t)
 
 
 def normalize_divisor(d: Iterable[int]) -> Divisor:
@@ -178,12 +171,11 @@ def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Optional[Divisor]:
             for k in range(data.gamma):
                 x[k] += q * row[k]
     out = normalize_divisor(x)
-    assert multidegree_of(g, out) == tv
+    if multidegree_of(g, out) != tv:
+        raise LatticeSelfCheckError(
+            f"divisor {out} found for {tv} has another multidegree"
+        )
     return out
-
-
-def in_twister_lattice(g: CurveGraph, t: Iterable[int]) -> bool:
-    return twister_divisor(g, t) is not None
 
 
 def equivalent(g: CurveGraph, d1: Iterable[int], d2: Iterable[int]) -> bool:
@@ -229,9 +221,9 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
 def class_group_order(g: CurveGraph) -> int:
     """Number of degree classes for any fixed total degree.
 
-    Computed as the product of the nonzero Smith invariant factors of the
-    pairing matrix and cross-checked against the Matrix-Tree spanning-tree
-    count; disagreement raises LatticeSelfCheckError.
+    Computed as the product of the Hermite pivots of the twister lattice and
+    cross-checked against the Matrix-Tree spanning-tree count; disagreement
+    raises LatticeSelfCheckError.
     """
     return _lattice(g).tree_count
 

@@ -25,6 +25,7 @@ from . import graph as gr
 from .graph import CurveGraph, NodeSet
 from .lattice import (
     Divisor,
+    LatticeSelfCheckError,
     Multidegree,
     _check_vector,
     multidegree_of,
@@ -112,7 +113,8 @@ def multidegree_levels(g: CurveGraph, t: Iterable[int]) -> LevelExpression:
     if dv is None:
         raise NotATwisterError(g, tv)
     le = level_expression(g, dv)
-    assert le.is_canonical
+    if not le.is_canonical:
+        raise LatticeSelfCheckError(f"level expression of {dv} is not canonical")
     return le
 
 

@@ -6,7 +6,7 @@ import math
 from itertools import product
 
 from abelmap import CurveGraph, normalize_divisor
-from abelmap.graph import _induced_connected, cut_edges
+from abelmap.graph import cut_edges
 
 
 def two_component(delta: int, loops: tuple = ()) -> CurveGraph:
@@ -44,7 +44,7 @@ def epsilon_over_connected_subcurves(g: CurveGraph):
     best = math.inf
     for mask in range(1, (1 << g.gamma) - 1):
         zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
-        if not _induced_connected(g, zs):
+        if _reachable(g, zs) != zs:
             continue
         cut = cut_edges(g, zs)
         if not cut <= g.bridges:
@@ -59,21 +59,26 @@ def bridge_tails(g: CurveGraph) -> list[frozenset]:
 
 def _side_of(g: CurveGraph, e: int) -> frozenset:
     # component of the graph minus edge e that avoids vertex 0
-    ea, eb = g.edges[e]
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
+    everything = frozenset(range(g.gamma))
+    return everything - _reachable(g, everything, skip=e)
+
+
+def _reachable(g: CurveGraph, zs: frozenset, skip=None) -> frozenset:
+    # vertices of zs reached from its smallest one along non-loop edges
+    # inside zs, never using edge id skip; a plain BFS, independent of the
+    # library's union-find
+    start = min(zs)
+    seen = {start}
+    queue = [start]
+    for v in queue:
         for f, (a, b) in enumerate(g.edges):
-            if f == e or a == b:
+            if f == skip or a == b or v not in (a, b):
                 continue
-            if a == v and b not in seen:
-                seen.add(b)
-                stack.append(b)
-            elif b == v and a not in seen:
-                seen.add(a)
-                stack.append(a)
-    return frozenset(range(g.gamma)) - frozenset(seen)
+            w = b if v == a else a
+            if w in zs and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 def tail_sum_oracle_table(g: CurveGraph, coeff_bound: int) -> set:

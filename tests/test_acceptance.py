@@ -80,7 +80,8 @@ def test_criterion_03_class_group_consistency(capsys):
         t0 = time.monotonic()
         graphs = 0
         for g in connected_multigraphs(5, 8, loops=False):
-            order = class_group_order(g)  # raises if SNF and Matrix-Tree differ
+            # raises if the Hermite pivot product and Matrix-Tree differ
+            order = class_group_order(g)
             for d in range(-2, 6):
                 assert len(enumerate_classes(g, d)) == order, (g, d)
             graphs += 1
@@ -88,7 +89,8 @@ def test_criterion_03_class_group_consistency(capsys):
         assert graphs > 400
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
-    _run(3, "SNF product = spanning trees = class count, gamma<=5, <=8 edges, <10s", capsys, body)
+    _run(3, "Hermite pivot product = spanning trees = class count, gamma<=5, <=8 edges, <10s",
+         capsys, body)
 
 
 def test_criterion_04_single_node_curve(tmp_path, capsys):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abelmap import choose_representatives, cli
 from abelmap.cli import Report, main, parse_graph, serialize_graph
@@ -362,3 +367,103 @@ def test_disconnected_graph_is_an_error(graph_file, capsys):
 def test_missing_file_is_an_error(capsys):
     assert main(["info", "/nonexistent/graph.json"]) == 2
     capsys.readouterr()
+
+
+# ----- fuzzing: malformed input never crashes -------------------------------
+
+LABELS = [f"C{i + 1}" for i in range(5)]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([*LABELS, "x", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["components", "nodes", "degree", "reps", "outputs"]),
+                      inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """(text, gamma): a connected graph document with gamma <= 5, often broken."""
+    gamma = draw(st.integers(1, 5))
+    labels = LABELS[:gamma]
+    label = st.sampled_from(labels)
+    nodes = [[draw(st.sampled_from(labels[:i])), labels[i]] for i in range(1, gamma)]
+    nodes += draw(st.lists(st.lists(label, min_size=2, max_size=2), max_size=3))
+    doc = {"components": labels, "nodes": nodes}
+    kind = draw(st.sampled_from(["valid"] * 3 + ["labels", "node", "drop", "json", "text"]))
+    if kind == "labels":
+        doc["components"] = draw(st.lists(st.sampled_from([*labels, "C9"]), max_size=gamma))
+    elif kind == "node":
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(JSON_VALUES))
+    elif kind == "drop" and nodes:
+        nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+    elif kind == "json":
+        return json.dumps(draw(JSON_VALUES)), gamma
+    elif kind == "text":
+        return draw(st.text(max_size=12)), gamma
+    return json.dumps(doc), gamma
+
+
+def vectors(gamma):
+    return (
+        st.lists(st.integers(-3, 3), min_size=gamma, max_size=gamma)
+        | st.lists(st.integers(-3, 3), max_size=6)
+    ).map(lambda v: ",".join(map(str, v))) | st.text("0123456789-, x", max_size=8)
+
+
+# |degree| <= 3: the partitional multidegrees grow as degree^(gamma - 1)
+INTS = st.integers(-3, 3).map(str) | st.sampled_from(["", "x", "1.5", "2,", "- 1"])
+REPS_FILES = st.none() | JSON_VALUES.map(json.dumps) | st.text(max_size=12) | st.builds(
+    lambda d, reps: json.dumps({"degree": d, "reps": reps}),
+    st.integers(-3, 3),
+    st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=6),
+)
+GRAPH_COMMANDS = [c for c in cli.COMMANDS if c.needs_graph]
+DEEP = "[" * 100000  # json.loads raises RecursionError on it
+
+
+@st.composite
+def cli_calls(draw):
+    """(command, graph text, options, --json): a reps option carries the
+    file's text, None for a missing file."""
+    cmd = draw(st.sampled_from(GRAPH_COMMANDS))
+    graph_text, gamma = draw(graph_documents())
+    options = []
+    for opt in cmd.options:
+        if not (opt.required or draw(st.booleans())):
+            continue
+        strategy = {cli.INT: INTS, cli.VECTOR: vectors(gamma), cli.PATH: REPS_FILES}
+        options.append((opt.flag, draw(strategy[opt.kind])))
+    return cmd.name, graph_text, options, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_calls())
+@example(("info", DEEP, [], False))
+@example(("is-natural", json.dumps(TWO_DELTA3), [("--degree", "1"), ("--reps", DEEP)], False))
+def test_cli_fuzz_exit_codes(call):
+    """Exit code 0, 1 or 2 on any input, and no exception escapes main (so
+    no traceback); our exit 2 prints one error line."""
+    name, graph_text, options, as_json = call
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "graph.json")
+        graph.write_text(graph_text, encoding="utf-8")
+        argv = [name, str(graph), *(["--json"] if as_json else [])]
+        for flag, value in options:
+            if flag == "--reps":
+                path = Path(tmp, "reps.json")
+                if value is not None:
+                    path.write_text(value, encoding="utf-8")
+                value = path
+            argv.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the arguments
+                assert exc.code == 2
+                return
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,24 +1,21 @@
-"""Dual graph structure: pairing, cuts, bridges, contraction, tails."""
+"""Dual graph structure: pairing, cuts, bridges, Betti numbers, connectivity."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelmap import (
     CurveGraph,
     DisconnectedCurveError,
     betti,
-    complement,
-    contract_complement,
     cut_edges,
-    cut_size,
-    is_tail,
     pairing,
     separating_nodes,
-    tails,
 )
 from abelmap.harness import connected_multigraphs
-from helpers import cycle, path, star, triangle_with_pendant, two_component
+from helpers import _side_of, cycle, path, triangle_with_pendant, two_component
 
 
 def _subsets(gamma):
@@ -55,7 +52,7 @@ def test_pairing_bilinear_symmetric_degenerate():
             for w in _subsets(g.gamma):
                 assert pairing(g, z, w) == pairing(g, w, z)
             if z and z != whole:
-                assert pairing(g, z, z) == -cut_size(g, z)
+                assert pairing(g, z, z) == -len(cut_edges(g, z))
 
 
 def test_pairing_index_out_of_range():
@@ -65,13 +62,9 @@ def test_pairing_index_out_of_range():
 
 
 def test_cut_size_examples():
-    assert cut_size(two_component(3), {0}) == 3
-    assert cut_size(cycle(3), {0, 1}) == 2
-    assert cut_size(path(3), {0, 1}) == 1
-    with pytest.raises(ValueError):
-        cut_size(path(3), set())
-    with pytest.raises(ValueError):
-        cut_size(path(3), {0, 1, 2})
+    assert len(cut_edges(two_component(3), {0})) == 3
+    assert len(cut_edges(cycle(3), {0, 1})) == 2
+    assert len(cut_edges(path(3), {0, 1})) == 1
 
 
 def test_cut_edges_ignore_loops():
@@ -91,33 +84,18 @@ def test_separating_nodes():
 
 
 def test_contract_complement_examples():
+    # betti(g, S) counts the cycles left after contracting every edge not in S
     g = two_component(2)
-    c = contract_complement(g, {0, 1})
-    assert c.vertex_count == 2
-    assert c.betti == 1
-    # contracting one of the two parallel edges merges the vertices,
-    # the kept edge becomes a loop, betti still 1
-    c = contract_complement(g, {0})
-    assert c.vertex_count == 1
-    assert c.edges == ((0, 0, 0),)
-    assert c.betti == 1
-
-
-def test_contract_complement_members_partition():
-    g = triangle_with_pendant()
-    c = contract_complement(g, {3})
-    assert c.vertex_count == 2
-    assert sorted(map(sorted, c.members)) == [[0, 1, 2], [3]]
-    assert c.betti == 0
+    assert betti(g, {0, 1}) == 1
+    # contracting one of the two parallel edges merges the vertices and the
+    # kept edge becomes a loop
+    assert betti(g, {0}) == 1
+    assert betti(triangle_with_pendant(), {3}) == 0
 
 
 def test_loop_in_node_set_stays_a_loop():
     g = two_component(1, loops=(1,))
-    c = contract_complement(g, {1})  # edge 1 is the loop at C2
-    assert c.vertex_count == 1
-    assert c.edges == ((0, 0, 1),)
-    assert c.betti == 1
-    assert betti(g, {1}) == 1
+    assert betti(g, {1}) == 1  # edge 1 is the loop at C2
 
 
 def test_betti_zero_iff_separating_exhaustive():
@@ -137,39 +115,45 @@ def test_single_edge_betti():
                 assert (betti(g, {e}) == 0) == (e in g.bridges)
 
 
+@st.composite
+def connected_graphs(draw, max_gamma=9):
+    """Connected multigraphs: a random spanning tree plus extra edges,
+    loops and parallel copies, on randomly relabeled vertices."""
+    gamma = draw(st.integers(1, max_gamma))
+    vertex = st.integers(0, gamma - 1)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, gamma)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    label = draw(st.permutations(range(gamma)))
+    edges = draw(st.permutations([(label[a], label[b]) for a, b in pairs]))
+    return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
+
+
+@settings(deadline=None)
+@given(connected_graphs())
+def test_bridges_match_removal_oracle(g):
+    cut_off = {e for e in range(g.edge_count) if _side_of(g, e)}
+    assert g.bridges == cut_off
+    for e in range(g.edge_count):
+        assert (betti(g, {e}) == 0) == (e in cut_off)
+
+
+@settings(deadline=None)
+@given(connected_graphs(4), connected_graphs(5), st.randoms())
+def test_two_pieces_are_disconnected(a, b, rng):
+    gamma = a.gamma + b.gamma
+    label = list(range(gamma))
+    rng.shuffle(label)
+    pairs = list(a.edges) + [(x + a.gamma, y + a.gamma) for x, y in b.edges]
+    edges = [(label[x], label[y]) for x, y in pairs]
+    with pytest.raises(DisconnectedCurveError):
+        CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
+
+
 def test_betti_bad_edge_id():
     with pytest.raises(IndexError):
         betti(path(3), {9})
-
-
-def test_is_tail():
-    g = path(3)
-    assert is_tail(g, {0})
-    assert is_tail(g, {0, 1})
-    with pytest.raises(ValueError):
-        is_tail(g, {0, 2})  # not connected
-    with pytest.raises(ValueError):
-        is_tail(g, {0, 1, 2})  # not proper
-    assert not is_tail(two_component(2), {0})
-    assert tails(cycle(3)) == []
-    assert tails(g) == [
-        frozenset({0}),
-        frozenset({2}),
-        frozenset({0, 1}),
-        frozenset({1, 2}),
-    ]
-
-
-def test_tails_cross_star():
-    g = star(3)
-    got = tails(g)
-    assert frozenset({1}) in got and frozenset({2, 3, 0}) in got
-    assert len(got) == 6  # each bridge cuts off a leaf or its complement
-
-
-def test_complement():
-    g = path(3)
-    assert complement(g, {0}) == frozenset({1, 2})
 
 
 def test_validation():
