@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import graph as gr
 from .graph import CurveGraph
@@ -42,11 +42,12 @@ def essential_connectivity(g: CurveGraph):
     """inf of k_Z over proper subcurves whose cut has a non-separating node.
 
     Returns math.inf when every cut consists of bridges (the inf over the
-    empty set).  Scans all proper nonempty subcurves.
+    empty set).  Scans one side of every cut (Z and its complement share
+    it): the nonempty subcurves without the last component.
     """
     best = INFINITY
     bridges = g.bridges
-    for mask in range(1, (1 << g.gamma) - 1):
+    for mask in range(1, 1 << (g.gamma - 1)):
         zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
         cut = gr.cut_edges(g, zs)
         if cut <= bridges:
@@ -66,7 +67,8 @@ def has_natural_abel_map(g: CurveGraph, d: int) -> bool:
 def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     """Nonnegative integer vectors of length gamma with total d, lex order.
 
-    There are binomial(d + gamma - 1, gamma - 1) of them.
+    There are binomial(d + gamma - 1, gamma - 1) of them; more than 10**6
+    raises ValueError instead of exhausting memory.
 
     >>> partitional_multidegrees(2, 1)
     [(0, 1), (1, 0)]
@@ -75,6 +77,9 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
         raise ValueError("gamma must be >= 1")
     if d < 0:
         return []
+    count = math.comb(d + gamma - 1, gamma - 1)
+    if count > 10**6:
+        raise ValueError(f"degree {d} has {count} partitional multidegrees, over 10**6")
     out: list[Multidegree] = []
 
     def rec(prefix: tuple, remaining: int, slots: int) -> None:
@@ -88,15 +93,17 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     return out
 
 
+def _partitional_by_class(g: CurveGraph, d: int) -> dict:
+    # class -> its lex-smallest partitional multidegree, for total d
+    first: dict[DegreeClass, Multidegree] = {}
+    for p in partitional_multidegrees(g.gamma, d):
+        first.setdefault(multidegree_class(g, p), p)
+    return first
+
+
 def class_has_partitional_rep(g: CurveGraph, cls: DegreeClass) -> Optional[Multidegree]:
     """Lex-smallest partitional multidegree in the class, or None."""
-    d = cls.total
-    if d < 0:
-        return None
-    for p in partitional_multidegrees(g.gamma, d):
-        if multidegree_class(g, p) == cls:
-            return p
-    return None
+    return _partitional_by_class(g, cls.total).get(cls)
 
 
 @dataclass(frozen=True)
@@ -115,13 +122,8 @@ def choose_representatives(g: CurveGraph, d: int) -> RepChooser:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    first_partitional: dict[DegreeClass, Multidegree] = {}
-    for p in partitional_multidegrees(g.gamma, d):
-        first_partitional.setdefault(multidegree_class(g, p), p)
-    table = {
-        cls: first_partitional.get(cls, cls.canonical)
-        for cls in enumerate_classes(g, d)
-    }
+    first = _partitional_by_class(g, d)
+    table = {cls: first.get(cls, cls.canonical) for cls in enumerate_classes(g, d)}
     return RepChooser(degree=d, table=table)
 
 
@@ -145,16 +147,18 @@ def is_natural(g: CurveGraph, d: int, chooser: Optional[RepChooser] = None) -> b
 
     True when every partitional multidegree differs from its class's chosen
     representative by a sum-of-tails multidegree.  The default chooser is
-    choose_representatives(g, d).
+    choose_representatives(g, d); only its partitional representatives are
+    ever looked up, so it is not built over every class.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     if chooser is None:
-        chooser = choose_representatives(g, d)
+        table = _partitional_by_class(g, d)
     else:
         validate_chooser(g, d, chooser)
+        table = chooser.table
     for p in partitional_multidegrees(g.gamma, d):
-        rep = chooser.table[multidegree_class(g, p)]
+        rep = table[multidegree_class(g, p)]
         t = tuple(x - y for x, y in zip(p, rep))
         if not is_sum_of_tails_multidegree(g, t):
             return False
@@ -185,7 +189,7 @@ def count_natural_structure(g: CurveGraph, d: int) -> NaturalStructure:
     nb = len(g.bridges)
     return NaturalStructure(
         exists=exists,
-        partitional_count=len(partitional_multidegrees(g.gamma, d)),
+        partitional_count=math.comb(d + g.gamma - 1, g.gamma - 1),
         separating_node_count=nb,
         unique=(nb == 0) if exists else None,
     )

@@ -1,15 +1,18 @@
 """Exhaustive enumeration of small dual graphs and the agreement harness.
 
 Graphs are generated as multiplicity vectors over the unordered vertex
-pairs (loops included unless disabled), kept when the non-loop support is
-connected, and deduplicated by the exact minimum of the vector over all
-vertex permutations.  Every checked property is isomorphism-invariant, so
-one representative per isomorphism class covers all labeled graphs.
+pairs (loops included unless disabled) in lex order, and kept when the
+non-loop support is connected and no relabeling is lex-smaller: one vector,
+the orbit minimum, per isomorphism class.  Every checked property is
+isomorphism-invariant, so that covers all labeled graphs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -41,28 +44,24 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]):
     return getters
 
 
-def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> list[tuple]:
+def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tuple]:
     slots = _slots(gamma, loops)
-    getters = _perm_getters(gamma, slots) if gamma > 1 else []
-    seen = set()
+    # an itemgetter of one index returns a scalar; one slot has one labeling
+    getters = _perm_getters(gamma, slots) if len(slots) > 1 else []
     n = len(slots)
 
-    def rec(prefix: tuple, budget: int) -> None:
+    def rec(prefix: tuple, budget: int) -> Iterator[tuple]:
         if len(prefix) == n:
-            if len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1:
-                if gamma == 1:
-                    seen.add(prefix)
-                else:
-                    canon = min(
-                        g(prefix) for g in getters
-                    )
-                    seen.add(canon if isinstance(canon, tuple) else (canon,))
+            # the cheaper test first: most vectors have a smaller relabeling
+            if all(g(prefix) >= prefix for g in getters) and (
+                len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1
+            ):
+                yield prefix
             return
         for m in range(budget + 1):
-            rec(prefix + (m,), budget - m)
+            yield from rec(prefix + (m,), budget - m)
 
-    rec((), max_edges)
-    return sorted(seen)
+    return rec((), max_edges)
 
 
 def connected_multigraphs(
@@ -93,11 +92,9 @@ class HarnessResult:
         return not self.failures
 
 
-def _verify_instance(args) -> list:
-    labels, edges, max_degree = args
-    g = CurveGraph(labels, edges)
+def _failures(g: CurveGraph, max_degree: int) -> list:
     return [
-        (labels, edges, d)
+        (g.components, g.edges, d)
         for d in range(1, max_degree + 1)
         if not cross_check_naturality(g, d)
     ]
@@ -108,27 +105,21 @@ def run_harness(
 ) -> HarnessResult:
     """cross_check_naturality over every enumerated graph and degree.
 
-    jobs > 1 spreads the graph instances over a process pool; instances are
-    independent and the result is order-insensitive (failures are sorted).
+    jobs > 1 spreads the graphs over a process pool of at most
+    os.cpu_count() workers; graphs are independent and the result is
+    order-insensitive (failures are sorted).
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    work = [
-        (g.components, g.edges, max_degree)
-        for g in connected_multigraphs(max_gamma, max_edges)
-    ]
-    failures: list = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fails in pool.map(_verify_instance, work, chunksize=16):
-                failures.extend(fails)
-    else:
-        for item in work:
-            failures.extend(_verify_instance(item))
-    return HarnessResult(
-        graphs=len(work),
-        checks=len(work) * max_degree,
-        failures=tuple(sorted(failures)),
-    )
+    check = functools.partial(_failures, max_degree=max_degree)
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    graphs, failures = 0, []
+    with pool or contextlib.nullcontext():
+        mapper = functools.partial(pool.map, chunksize=16) if pool else map
+        for fails in mapper(check, connected_multigraphs(max_gamma, max_edges)):
+            graphs += 1
+            failures.extend(fails)
+    return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
-from abelmap import CurveGraph, normalize_divisor
+from hypothesis import strategies as st
+
+from abelmap import CurveGraph, DisconnectedCurveError, normalize_divisor
 from abelmap.graph import cut_edges
 
 
@@ -33,6 +35,61 @@ def star(leaves: int) -> CurveGraph:
 def triangle_with_pendant() -> CurveGraph:
     # 3-cycle on C1..C3 plus C4 hanging off C1 by a bridge
     return CurveGraph(["C1", "C2", "C3", "C4"], [(0, 1), (1, 2), (0, 2), (0, 3)])
+
+
+@st.composite
+def connected_graphs(draw, max_gamma=9):
+    """Connected multigraphs: a random spanning tree plus extra edges,
+    loops and parallel copies, on randomly relabeled vertices."""
+    gamma = draw(st.integers(1, max_gamma))
+    vertex = st.integers(0, gamma - 1)
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, gamma)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    label = draw(st.permutations(range(gamma)))
+    edges = draw(st.permutations([(label[a], label[b]) for a, b in pairs]))
+    return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
+
+
+def canonical_vectors_by_min(gamma: int, max_edges: int, loops: bool) -> list:
+    """Isomorph rejection by the exact orbit minimum.
+
+    Every connected multiplicity vector over the vertex pairs (loops
+    included when asked) with total at most max_edges is replaced by its
+    lex minimum over all vertex relabelings; the distinct minima, sorted.
+    """
+    slots = [(i, j) for i in range(gamma) for j in range(i if loops else i + 1, gamma)]
+    index = {s: k for k, s in enumerate(slots)}
+    images = [
+        [index[tuple(sorted((perm[i], perm[j])))] for i, j in slots]
+        for perm in permutations(range(gamma))
+    ]
+    labels = [f"C{i + 1}" for i in range(gamma)]
+    minima = set()
+    for vec in _bounded_vectors(len(slots), max_edges):
+        try:
+            CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
+        except DisconnectedCurveError:
+            continue
+        relabeled = []
+        for image in images:
+            w = [0] * len(slots)
+            for k, m in zip(image, vec):
+                w[k] = m
+            relabeled.append(tuple(w))
+        minima.add(min(relabeled))
+    return sorted(minima)
+
+
+def _bounded_vectors(n: int, budget: int):
+    # nonnegative integer vectors of length n with total at most budget
+    if n == 0:
+        yield ()
+        return
+    for m in range(budget + 1):
+        for rest in _bounded_vectors(n - 1, budget - m):
+            yield (m,) + rest
 
 
 def epsilon_over_connected_subcurves(g: CurveGraph):

@@ -6,9 +6,11 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from abelmap import (
     CurveGraph,
+    abel,
     InvalidChooserError,
     RepChooser,
     choose_representatives,
@@ -28,6 +30,7 @@ from abelmap import (
 from abelmap.graph import cut_edges
 from abelmap.harness import connected_multigraphs
 from helpers import (
+    connected_graphs,
     cycle,
     epsilon_over_connected_subcurves,
     path,
@@ -72,6 +75,12 @@ def test_epsilon_three_forms_agree():
         assert full == conn == no_bridge
 
 
+@settings(deadline=None)
+@given(connected_graphs())
+def test_epsilon_matches_connected_subcurve_oracle(g):
+    assert essential_connectivity(g) == epsilon_over_connected_subcurves(g)
+
+
 def test_has_natural_abel_map():
     g = two_component(3)
     assert has_natural_abel_map(g, 1)
@@ -98,6 +107,15 @@ def test_partitional_multidegrees():
     assert got == sorted(got)
     assert len(got) == math.comb(2 + 3 - 1, 3 - 1)
     assert all(sum(p) == 2 and min(p) >= 0 for p in got)
+
+
+def test_partitional_multidegrees_refuses_huge_counts():
+    assert math.comb(67 + 4, 4) <= 10**6 < math.comb(68 + 4, 4)
+    with pytest.raises(ValueError, match=str(math.comb(68 + 4, 4))):
+        partitional_multidegrees(5, 68)
+    # the count alone needs no list
+    info = count_natural_structure(cycle(5), 999)
+    assert info.partitional_count == math.comb(999 + 4, 4)
 
 
 def test_class_has_partitional_rep_two_components():
@@ -152,6 +170,26 @@ def test_is_natural_matches_pairwise_condition():
     for g in connected_multigraphs(3, 4):
         for d in range(1, 4):
             assert is_natural(g, d) == partitional_pairs_certified(g, d)
+
+
+def test_default_chooser_matches_explicit_table():
+    # an explicit chooser runs the full-table path through validate_chooser
+    for g in connected_multigraphs(4, 5):
+        for d in range(1, 4):
+            chooser = choose_representatives(g, d)
+            assert is_natural(g, d) == is_natural(g, d, chooser), (g, d)
+
+
+def test_default_chooser_never_enumerates_classes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_classes called")
+
+    monkeypatch.setattr(abel, "enumerate_classes", refuse)
+    assert is_natural(cycle(16), 1)
+    assert is_natural(two_component(3), 2)
+    assert not is_natural(two_component(2), 2)
+    with pytest.raises(AssertionError):
+        choose_representatives(two_component(3), 1)
 
 
 def test_no_natural_map_rejects_every_chooser():

@@ -230,6 +230,20 @@ def test_canonical_rep_command(graph_file, capsys):
     assert _json_out(capsys)["outputs"]["degenerate"] is True
 
 
+def test_canonical_rep_negative_first_entry(graph_file, capsys):
+    # argparse reads "--t -3,3" as two flags; the "=" form passes the vector
+    assert main(["canonical-rep", graph_file(TWO_DELTA3), "--t=-3,3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "t: (-3, 3)"
+
+
+def test_huge_degree_is_refused(graph_file, capsys):
+    f = graph_file({"components": ["C1", "C2", "C3", "C4", "C5"],
+                    "nodes": [[f"C{i}", f"C{i % 5 + 1}"] for i in range(1, 6)]})
+    for command in ("verify", "choose-reps", "is-natural"):
+        assert main([command, f, "--degree", "999"]) == 2
+        assert str(math.comb(999 + 4, 4)) in _one_line_error(capsys)
+
+
 def test_canonical_rep_domain_error_shows_basis(graph_file, capsys):
     f = graph_file(TWO_DELTA3)
     assert main(["canonical-rep", f, "--t", "1,-1"]) == 2

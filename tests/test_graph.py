@@ -15,7 +15,14 @@ from abelmap import (
     separating_nodes,
 )
 from abelmap.harness import connected_multigraphs
-from helpers import _side_of, cycle, path, triangle_with_pendant, two_component
+from helpers import (
+    _side_of,
+    connected_graphs,
+    cycle,
+    path,
+    triangle_with_pendant,
+    two_component,
+)
 
 
 def _subsets(gamma):
@@ -113,21 +120,6 @@ def test_single_edge_betti():
                 assert betti(g, {e}) == 1
             else:
                 assert (betti(g, {e}) == 0) == (e in g.bridges)
-
-
-@st.composite
-def connected_graphs(draw, max_gamma=9):
-    """Connected multigraphs: a random spanning tree plus extra edges,
-    loops and parallel copies, on randomly relabeled vertices."""
-    gamma = draw(st.integers(1, max_gamma))
-    vertex = st.integers(0, gamma - 1)
-    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, gamma)]
-    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-    if pairs:
-        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
-    label = draw(st.permutations(range(gamma)))
-    edges = draw(st.permutations([(label[a], label[b]) for a, b in pairs]))
-    return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
 
 
 @settings(deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from itertools import permutations
 
 import pytest
@@ -11,12 +12,14 @@ from abelmap import (
     class_group_order,
     cross_check_naturality,
     essential_connectivity,
+    harness,
 )
 from abelmap.harness import (
     _canonical_vectors,
     connected_multigraphs,
     run_harness,
 )
+from helpers import canonical_vectors_by_min
 
 
 def test_small_counts_by_hand():
@@ -42,9 +45,22 @@ def test_enumeration_is_deterministic_and_valid():
 def test_enumeration_dedups_isomorphic_relabelings():
     # path C1-C2-C3 and path C2-C1-C3 are isomorphic; only one canonical
     # vector may survive for the path shape
-    vecs = _canonical_vectors(3, 2, loops=False)
+    vecs = list(_canonical_vectors(3, 2, loops=False))
     # slots (0,1),(0,2),(1,2): connected with 2 edges = path, up to iso
     assert vecs == [(0, 1, 1)]
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_early_exit_canonicity_matches_orbit_minimum(loops):
+    for gamma in range(1, 5):
+        for max_edges in range(7):
+            got = list(_canonical_vectors(gamma, max_edges, loops))
+            assert got == canonical_vectors_by_min(gamma, max_edges, loops), (gamma, max_edges)
+
+
+def test_exact_graph_counts():
+    assert sum(1 for _ in connected_multigraphs(5, 7)) == 1177
+    assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
 
 
 def test_enumeration_contains_known_shapes():
@@ -92,3 +108,45 @@ def test_run_harness_validates_bounds():
         run_harness(0, 3, 1)
     with pytest.raises(ValueError):
         run_harness(2, 2, 0)
+
+
+def test_run_harness_builds_each_graph_once(monkeypatch):
+    built = []
+    init = CurveGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CurveGraph, "__init__", counting_init)
+    res = run_harness(3, 4, 2)
+    assert len(built) == res.graphs > 0
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_run_harness_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
+    serial = run_harness(3, 3, 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "workers", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run_harness(3, 3, 2, jobs=100000) == serial
+    assert _InProcessPool.workers == pools
+    assert all(w <= (cpus or 1) for w in _InProcessPool.workers)
