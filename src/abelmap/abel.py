@@ -2,8 +2,9 @@
 
 The essential connectivity of a connected nodal curve is the smallest
 cut size k_Z over proper subcurves Z whose cut is not made of separating
-nodes only; it is infinite when no such subcurve exists (irreducible
-curves, curves of compact type, two components meeting in one node).
+nodes only: the smallest cut once the separating nodes are contracted.  It
+is infinite when no such subcurve exists (irreducible curves, curves of
+compact type, two components meeting in one node).
 
 The decision implemented here: a natural d-th Abel map exists if and only
 if the essential connectivity exceeds d.  The package also carries an
@@ -22,6 +23,7 @@ from typing import Optional
 from . import graph as gr
 from .graph import CurveGraph
 from .lattice import (
+    LISTING_LIMIT,
     DegreeClass,
     Multidegree,
     _check_vector,
@@ -41,20 +43,22 @@ class InvalidChooserError(ValueError):
 def essential_connectivity(g: CurveGraph):
     """inf of k_Z over proper subcurves whose cut has a non-separating node.
 
-    Returns math.inf when every cut consists of bridges (the inf over the
-    empty set).  Scans one side of every cut (Z and its complement share
-    it): the nonempty subcurves without the last component.
+    A minimizing cut can always be taken with no separating node in it, so
+    this is the smallest cut of the curve with its separating nodes
+    contracted to pieces.  Scans one side of each cut between pieces (the
+    unions without the last piece); math.inf for one piece (compact type).
     """
-    best = INFINITY
     bridges = g.bridges
-    for mask in range(1, 1 << (g.gamma - 1)):
-        zs = frozenset(i for i in range(g.gamma) if mask >> i & 1)
-        cut = gr.cut_edges(g, zs)
-        if cut <= bridges:
-            continue
-        if len(cut) < best:
-            best = len(cut)
-    return best
+    piece = gr._components(g.gamma, [g.edges[e] for e in bridges])
+    bit = {p: 1 << k for k, p in enumerate(dict.fromkeys(piece))}
+    ends = [  # the other nodes, each as the bits of its two pieces
+        bit[piece[a]] | bit[piece[b]]
+        for e, (a, b) in enumerate(g.edges)
+        if a != b and e not in bridges
+    ]
+    # a node crosses a cut when the mask holds exactly one of its two bits
+    masks = range(1, 1 << (len(bit) - 1))
+    return min((sum(0 < m & xy < xy for xy in ends) for m in masks), default=INFINITY)
 
 
 def has_natural_abel_map(g: CurveGraph, d: int) -> bool:
@@ -67,8 +71,8 @@ def has_natural_abel_map(g: CurveGraph, d: int) -> bool:
 def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     """Nonnegative integer vectors of length gamma with total d, lex order.
 
-    There are binomial(d + gamma - 1, gamma - 1) of them; more than 10**6
-    raises ValueError instead of exhausting memory.
+    There are binomial(d + gamma - 1, gamma - 1) of them; more than
+    LISTING_LIMIT raises ValueError instead of exhausting memory.
 
     >>> partitional_multidegrees(2, 1)
     [(0, 1), (1, 0)]
@@ -78,8 +82,10 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     if d < 0:
         return []
     count = math.comb(d + gamma - 1, gamma - 1)
-    if count > 10**6:
-        raise ValueError(f"degree {d} has {count} partitional multidegrees, over 10**6")
+    if count > LISTING_LIMIT:
+        raise ValueError(
+            f"degree {d} has {count} partitional multidegrees, over {LISTING_LIMIT}"
+        )
     out: list[Multidegree] = []
 
     def rec(prefix: tuple, remaining: int, slots: int) -> None:
@@ -131,8 +137,7 @@ def validate_chooser(g: CurveGraph, d: int, chooser: RepChooser) -> None:
     """Raise InvalidChooserError unless the chooser fits (g, d) exactly."""
     if chooser.degree != d:
         raise InvalidChooserError(f"chooser degree {chooser.degree} != {d}")
-    expected = set(enumerate_classes(g, d))
-    if set(chooser.table) != expected:
+    if set(chooser.table) != set(enumerate_classes(g, d)):
         raise InvalidChooserError("chooser classes do not match the graph's classes")
     for cls, rep in chooser.table.items():
         rv = _check_vector(g, rep, "representative")

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from . import abel, lattice, levels
 from .graph import CurveGraph
 from .harness import run_harness
-from .lattice import _lattice
 from .levels import NotATwisterError
 
 INFINITY_TOKEN = "infinity"
@@ -394,7 +393,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return _run(args.command, args)
     except NotATwisterError as exc:
-        cols = "; ".join(str(tuple(c)) for c in _lattice(exc.graph).basis_cols)
+        cols = "; ".join(str(col) for _, _, col, _ in lattice._lattice(exc.graph).basis)
         print(f"error: {exc} (lattice basis columns: {cols})", file=sys.stderr)
         return 2
     except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:

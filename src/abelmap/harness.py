@@ -21,6 +21,8 @@ from typing import Iterator
 from .abel import cross_check_naturality
 from .graph import CurveGraph, _components
 
+BATCH_PER_WORKER = 128  # graphs handed to the process pool per worker at once
+
 
 def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
     return [
@@ -105,21 +107,24 @@ def run_harness(
 ) -> HarnessResult:
     """cross_check_naturality over every enumerated graph and degree.
 
-    jobs > 1 spreads the graphs over a process pool of at most
-    os.cpu_count() workers; graphs are independent and the result is
-    order-insensitive (failures are sorted).
+    jobs > 1 spreads the graphs, BATCH_PER_WORKER per worker at a time, over
+    a process pool of at most os.cpu_count() workers; graphs are independent
+    and the result is order-insensitive (failures are sorted).
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     check = functools.partial(_failures, max_degree=max_degree)
+    graphs_in = connected_multigraphs(max_gamma, max_edges)
     workers = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     graphs, failures = 0, []
     with pool or contextlib.nullcontext():
         mapper = functools.partial(pool.map, chunksize=16) if pool else map
-        for fails in mapper(check, connected_multigraphs(max_gamma, max_edges)):
-            graphs += 1
-            failures.extend(fails)
+        # Executor.map submits its whole input before yielding: one batch at a time
+        while batch := list(itertools.islice(graphs_in, BATCH_PER_WORKER * workers)):
+            graphs += len(batch)
+            for fails in mapper(check, batch):
+                failures.extend(fails)
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

@@ -10,9 +10,10 @@ finite-index sublattice of the degree-0 vectors.
 Two multidegrees of the same total degree are equivalent when their
 difference lies in the twister lattice; the classes of total degree d form a
 finite set whose size is independent of d and equals the number of spanning
-trees of the dual graph.  That count is the product of the pivots of the
-Hermite basis of the twister lattice, and it is checked against a
-Matrix-Tree determinant: the two must agree.
+trees of the dual graph.  Every query reduces against one Hermite basis of
+the twister lattice, checked when it is built: each basis column must be
+the multidegree of its stored preimage, and the pivot product must equal
+the Matrix-Tree spanning-tree count, so the basis spans the whole lattice.
 
 All arithmetic is exact on Python ints.  Divisors and multidegrees are
 plain tuples of ints of length gamma.
@@ -21,6 +22,7 @@ plain tuples of ints of length gamma.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -30,6 +32,8 @@ from .intlinalg import det_bareiss, row_hnf
 
 Divisor = tuple  # tuple[int, ...]
 Multidegree = tuple  # tuple[int, ...]
+
+LISTING_LIMIT = 10**6  # the most vectors or classes that one listing builds
 
 
 class LatticeSelfCheckError(RuntimeError):
@@ -54,17 +58,15 @@ class DegreeClass:
 
 @dataclass(frozen=True)
 class _LatticeData:
-    # column Hermite basis of the twister lattice plus solving data
-    gamma: int
-    pivots: tuple  # tuple[(row, value), ...] in increasing row order
-    basis_cols: tuple  # basis column per pivot, tuple[tuple[int, ...], ...]
-    solve_rows: tuple  # preimage generator per pivot (rows of the transform)
     tree_count: int
+    # column Hermite basis of the twister lattice, in increasing pivot row
+    # order: (pivot row, pivot value, column, divisor with that multidegree)
+    basis: tuple
 
 
 @lru_cache(maxsize=None)
 def _lattice(g: CurveGraph) -> _LatticeData:
-    """Compute-once lattice data for a graph.
+    """Compute-once lattice data for a graph, with its two build checks.
 
     lru_cache gives the once-only initialization; a racing first access may
     duplicate the work but never publishes a half-built value.
@@ -74,25 +76,22 @@ def _lattice(g: CurveGraph) -> _LatticeData:
     # Row-reduce the transpose: H = U * M^T, so M * U^T = H^T gives a column
     # Hermite basis of the column span (the twister lattice) together with
     # preimages: column r of H^T equals M applied to row r of U.
-    mt = [list(row) for row in zip(*m)]
-    h, u = row_hnf(mt)
-    pivots = []
-    basis_cols = []
-    solve_rows = []
-    for r, row in enumerate(h):
-        p = next((c for c, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        pivots.append((p, row[p]))
-        basis_cols.append(tuple(row))
-        solve_rows.append(tuple(u[r]))
-    if len(pivots) != gamma - 1:
+    h, u = row_hnf([list(row) for row in zip(*m)])
+    basis = []
+    for col, pre in zip(h, u):
+        p = next((c for c, x in enumerate(col) if x), None)
+        if p is not None:
+            basis.append((p, col[p], tuple(col), tuple(pre)))
+    if len(basis) != gamma - 1:
         raise LatticeSelfCheckError(
-            f"pairing matrix rank {len(pivots)} != gamma - 1 = {gamma - 1}"
+            f"pairing matrix rank {len(basis)} != gamma - 1 = {gamma - 1}"
         )
-    order = 1
-    for _, val in pivots:
-        order *= val
+    for _, _, col, pre in basis:
+        if multidegree_of(g, pre) != col:
+            raise LatticeSelfCheckError(
+                f"basis column {col} is not the multidegree of {pre}"
+            )
+    order = math.prod(val for _, val, _, _ in basis)
     # Matrix-Tree: principal minor of the negated pairing matrix (the
     # Laplacian) counts spanning trees of the dual graph.
     minor = [[-m[i][j] for j in range(1, gamma)] for i in range(1, gamma)]
@@ -101,13 +100,23 @@ def _lattice(g: CurveGraph) -> _LatticeData:
         raise LatticeSelfCheckError(
             f"Hermite pivot product {order} != spanning-tree count {trees}"
         )
-    return _LatticeData(
-        gamma=gamma,
-        pivots=tuple(pivots),
-        basis_cols=tuple(basis_cols),
-        solve_rows=tuple(solve_rows),
-        tree_count=trees,
-    )
+    return _LatticeData(tree_count=trees, basis=tuple(basis))
+
+
+def _reduce(data: _LatticeData, z: list) -> list:
+    """Floor-reduce z in place into the Hermite fundamental domain.
+
+    Returns the quotient of each basis column.  A column is zero above its
+    pivot row, so later columns never disturb earlier pivot rows.
+    """
+    quotients = []
+    for p, val, col, _ in data.basis:
+        q = z[p] // val
+        if q:
+            for k in range(p, len(z)):
+                z[k] -= q * col[k]
+        quotients.append(q)
+    return quotients
 
 
 def _check_vector(g: CurveGraph, v: Iterable[int], what: str) -> tuple:
@@ -145,31 +154,21 @@ def normalize_divisor(d: Iterable[int]) -> Divisor:
 def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Optional[Divisor]:
     """The normalized divisor with multidegree t, or None if t is not one.
 
-    Membership in the twister lattice is decided by forward substitution
-    against the Hermite basis; the solution is unique modulo X and returned
-    with minimum coefficient 0.
+    t is in the twister lattice when its Hermite reduction leaves zero; the
+    quotients then weight the basis preimages.  Unique modulo X, returned
+    with minimum coefficient 0, and its multidegree is checked to be t.
     """
     tv = _check_vector(g, t, "multidegree")
     if sum(tv) != 0:
         return None
     data = _lattice(g)
     residue = list(tv)
-    coeffs = []
-    for (p, val), col in zip(data.pivots, data.basis_cols):
-        q, rem = divmod(residue[p], val)
-        if rem:
-            return None
-        if q:
-            for k in range(data.gamma):
-                residue[k] -= q * col[k]
-        coeffs.append(q)
+    quotients = _reduce(data, residue)
     if any(residue):
         return None
-    x = [0] * data.gamma
-    for q, row in zip(coeffs, data.solve_rows):
-        if q:
-            for k in range(data.gamma):
-                x[k] += q * row[k]
+    x = [0] * len(tv)
+    for q, (*_, pre) in zip(quotients, data.basis):
+        x = [a + q * b for a, b in zip(x, pre)]
     out = normalize_divisor(x)
     if multidegree_of(g, out) != tv:
         raise LatticeSelfCheckError(
@@ -187,18 +186,9 @@ def equivalent(g: CurveGraph, d1: Iterable[int], d2: Iterable[int]) -> bool:
     b = _check_vector(g, d2, "multidegree")
     if sum(a) != sum(b):
         return False
-    return twister_divisor(g, tuple(x - y for x, y in zip(a, b))) is not None
-
-
-def _reduce_degree_zero(data: _LatticeData, z: list[int]) -> list[int]:
-    # unique fundamental-domain representative of z modulo the basis columns;
-    # later pivots never disturb earlier pivot rows (echelon structure)
-    for (p, val), col in zip(data.pivots, data.basis_cols):
-        q = z[p] // val
-        if q:
-            for k in range(data.gamma):
-                z[k] -= q * col[k]
-    return z
+    z = [x - y for x, y in zip(a, b)]
+    _reduce(_lattice(g), z)
+    return not any(z)
 
 
 def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
@@ -208,12 +198,10 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
     first coordinate, reducing to the Hermite fundamental domain, and
     shifting back.
     """
-    tv = _check_vector(g, t, "multidegree")
-    d = sum(tv)
-    data = _lattice(g)
-    z = list(tv)
+    z = list(_check_vector(g, t, "multidegree"))
+    d = sum(z)
     z[0] -= d
-    z = _reduce_degree_zero(data, z)
+    _reduce(_lattice(g), z)
     z[0] += d
     return DegreeClass(canonical=tuple(z))
 
@@ -221,9 +209,8 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
 def class_group_order(g: CurveGraph) -> int:
     """Number of degree classes for any fixed total degree.
 
-    Computed as the product of the Hermite pivots of the twister lattice and
-    cross-checked against the Matrix-Tree spanning-tree count; disagreement
-    raises LatticeSelfCheckError.
+    The spanning-tree count; the lattice build checks that it equals the
+    product of the Hermite pivots.
     """
     return _lattice(g).tree_count
 
@@ -232,18 +219,22 @@ def enumerate_classes(g: CurveGraph, d: int) -> list[DegreeClass]:
     """All degree classes of total degree d, in a deterministic order.
 
     Walks the Hermite fundamental domain: pivot rows range over their
-    residues, the one pivot-free row balances the total to zero, and the
-    whole vector is shifted to total degree d along the first coordinate.
+    residues, the last row (never a pivot row: every column sums to zero)
+    balances the total to zero, and the whole vector is shifted to total
+    degree d along the first coordinate.  More than LISTING_LIMIT classes
+    raises ValueError instead of exhausting memory.
     """
     data = _lattice(g)
-    pivot_rows = [p for p, _ in data.pivots]
-    free_row = next(i for i in range(data.gamma) if i not in pivot_rows)
+    if data.tree_count > LISTING_LIMIT:
+        raise ValueError(
+            f"the curve has {data.tree_count} degree classes, over {LISTING_LIMIT}"
+        )
     out = []
-    for residues in itertools.product(*(range(val) for _, val in data.pivots)):
-        z = [0] * data.gamma
-        for (p, _), res in zip(data.pivots, residues):
+    for residues in itertools.product(*(range(val) for _, val, _, _ in data.basis)):
+        z = [0] * g.gamma
+        for (p, *_), res in zip(data.basis, residues):
             z[p] = res
-        z[free_row] = -sum(residues)
+        z[-1] = -sum(residues)
         z[0] += d
         out.append(DegreeClass(canonical=tuple(z)))
     return out

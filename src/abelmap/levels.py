@@ -180,8 +180,7 @@ def is_sum_of_tails_multidegree(g: CurveGraph, t: Iterable[int]) -> bool:
     These multidegrees form a subgroup of the twister lattice.  A t outside
     the lattice is simply not one (returns False, no error).
     """
-    tv = _check_vector(g, t, "multidegree")
-    dv = twister_divisor(g, tv)
+    dv = twister_divisor(g, t)
     if dv is None:
         return False
     return crossing_nodes(g, dv) <= g.bridges

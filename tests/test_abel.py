@@ -81,6 +81,17 @@ def test_epsilon_matches_connected_subcurve_oracle(g):
     assert essential_connectivity(g) == epsilon_over_connected_subcurves(g)
 
 
+def test_epsilon_scans_pieces_not_components():
+    # a 60-component path whose last component lies on a doubled triangle:
+    # 62 components but 3 pieces once the 59 separating nodes are contracted,
+    # so 3 cuts to scan where a scan over components would face 2^61
+    path_edges = [(i, i + 1) for i in range(59)]
+    triangle = [(59, 60), (60, 61), (59, 61)] * 2
+    g = CurveGraph([f"C{i}" for i in range(62)], path_edges + triangle)
+    assert len(g.bridges) == 59
+    assert essential_connectivity(g) == 4
+
+
 def test_has_natural_abel_map():
     g = two_component(3)
     assert has_natural_abel_map(g, 1)

@@ -244,6 +244,18 @@ def test_huge_degree_is_refused(graph_file, capsys):
         assert str(math.comb(999 + 4, 4)) in _one_line_error(capsys)
 
 
+def test_huge_class_count_is_refused(graph_file, tmp_path, capsys):
+    # the doubled 24-cycle has 24 * 2**23 degree classes in every degree
+    labels = [f"C{i}" for i in range(24)]
+    nodes = [[labels[i], labels[(i + 1) % 24]] for i in range(24)] * 2
+    f = graph_file({"components": labels, "nodes": nodes})
+    reps = tmp_path / "reps.json"
+    reps.write_text(json.dumps({"degree": 1, "reps": [[1] + [0] * 23]}))
+    for extra in (["classes"], ["choose-reps"], ["is-natural", "--reps", str(reps)]):
+        assert main([extra[0], f, "--degree", "1", *extra[1:]]) == 2
+        assert str(24 * 2**23) in _one_line_error(capsys)
+
+
 def test_canonical_rep_domain_error_shows_basis(graph_file, capsys):
     f = graph_file(TWO_DELTA3)
     assert main(["canonical-rep", f, "--t", "1,-1"]) == 2

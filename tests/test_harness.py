@@ -150,3 +150,27 @@ def test_run_harness_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
     assert run_harness(3, 3, 2, jobs=100000) == serial
     assert _InProcessPool.workers == pools
     assert all(w <= (cpus or 1) for w in _InProcessPool.workers)
+
+
+class _EagerPool(_InProcessPool):
+    """Drains its whole input on map, as ProcessPoolExecutor.map does."""
+
+    inputs: list = []
+
+    def map(self, fn, iterable, chunksize=1):
+        items = list(iterable)
+        self.inputs.append(len(items))
+        return map(fn, items)
+
+
+def test_run_harness_feeds_the_pool_bounded_batches(monkeypatch):
+    serial = run_harness(4, 6, 1)
+    bound = harness.BATCH_PER_WORKER * 2
+    assert serial.graphs > bound
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _EagerPool)
+    monkeypatch.setattr(_EagerPool, "workers", [])
+    monkeypatch.setattr(_EagerPool, "inputs", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_harness(4, 6, 1, jobs=2) == serial
+    assert len(_EagerPool.inputs) > 1 and max(_EagerPool.inputs) <= bound
+    assert sum(_EagerPool.inputs) == serial.graphs

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -19,15 +19,19 @@ from sympy.matrices.normalforms import smith_normal_form
 import abelmap
 from abelmap import (
     CurveGraph,
+    LatticeSelfCheckError,
     class_group_order,
     enumerate_classes,
     equivalent,
+    lattice,
     multidegree_class,
     multidegree_of,
     normalize_divisor,
     twister_divisor,
 )
 from abelmap.harness import connected_multigraphs
+from abelmap.intlinalg import row_hnf
+from abelmap.lattice import LISTING_LIMIT
 from helpers import cycle, path, star, triangle_with_pendant, two_component
 
 SAMPLE_GRAPHS = [
@@ -194,14 +198,69 @@ def test_order_cross_check_over_enumeration():
         assert class_group_order(g) == order == len(enumerate_classes(g, 0))
 
 
+def test_equivalent_matches_twister_membership_oracle():
+    # the membership test equivalent used to make: build the twister divisor
+    # of the difference and ask whether there is one
+    for g in connected_multigraphs(4, 5):
+        box = product(range(-1, 2), repeat=g.gamma)
+        for a, b in combinations(box, 2):
+            if sum(a) == sum(b):
+                diff = tuple(x - y for x, y in zip(a, b))
+                assert equivalent(g, a, b) == (twister_divisor(g, diff) is not None)
+
+
+def _corrupt_hnf(mat):
+    # shift the entry of the first row above the second pivot: the pivots and
+    # their product stay, but the first column no longer matches its preimage
+    h, u = row_hnf(mat)
+    h[0][next(c for c, x in enumerate(h[1]) if x)] += 1
+    return h, u
+
+
+def test_build_check_rejects_a_basis_off_its_preimages(monkeypatch):
+    monkeypatch.setattr(lattice, "row_hnf", _corrupt_hnf)
+    g = CurveGraph(["P", "Q", "R"], [(0, 1), (1, 2), (0, 2), (2, 2)])
+    with pytest.raises(LatticeSelfCheckError, match="is not the multidegree of"):
+        class_group_order(g)
+
+
+def test_enumerate_classes_refuses_huge_counts():
+    edges = [(i, (i + 1) % 24) for i in range(24)] * 2
+    doubled = CurveGraph([f"C{i}" for i in range(24)], edges)
+    assert class_group_order(doubled) == 24 * 2**23 > LISTING_LIMIT
+    with pytest.raises(ValueError, match=str(24 * 2**23)):
+        enumerate_classes(doubled, 1)
+
+
 def test_self_check_survives_python_O():
-    # a wrong multidegree_of must surface as LatticeSelfCheckError even when
-    # the interpreter strips assert statements
+    # a wrong basis and a wrong multidegree_of must each surface as
+    # LatticeSelfCheckError even when the interpreter strips assert statements
     script = textwrap.dedent("""
         from abelmap import lattice
         from abelmap.graph import CurveGraph
+
+        def caught(check):
+            try:
+                check()
+            except lattice.LatticeSelfCheckError:
+                return "caught"
+            return "missed"
+
+        real = lattice.row_hnf
+
+        def corrupt(mat):
+            h, u = real(mat)
+            h[0][next(c for c, x in enumerate(h[1]) if x)] += 1
+            return h, u
+
+        lattice.row_hnf = corrupt
+        triangle = CurveGraph(["A", "B", "C"], [(0, 1), (1, 2), (0, 2)])
+        print("build", caught(lambda: lattice.class_group_order(triangle)))
+        lattice.row_hnf = real
+        g = CurveGraph(["A", "B"], [(0, 1)])
+        lattice.class_group_order(g)  # build before multidegree_of goes wrong
         lattice.multidegree_of = lambda g, d: (0, 0)
-        print(lattice.twister_divisor(CurveGraph(["A", "B"], [(0, 1)]), (1, -1)))
+        print("round trip", caught(lambda: lattice.twister_divisor(g, (1, -1))))
     """)
     src = str(Path(abelmap.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
@@ -209,4 +268,4 @@ def test_self_check_survives_python_O():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
         timeout=60,
     )
-    assert "LatticeSelfCheckError" in proc.stderr, (proc.stdout, proc.stderr)
+    assert proc.stdout == "build caught\nround trip caught\n", (proc.stdout, proc.stderr)
