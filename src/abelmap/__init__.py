@@ -2,20 +2,13 @@
 
 Decides whether a connected nodal curve, given by its dual graph, carries a
 natural d-th Abel map: it does exactly when the curve's essential
-connectivity exceeds d.  The supporting machinery (intersection pairing,
-twister lattice, degree classes, level expressions, crossing nodes) is
-exposed as a library, and an enumeration harness re-derives the decision by
-brute force on every small graph.
+connectivity exceeds d.  The supporting machinery (twister lattice, degree
+classes, level expressions, crossing nodes, sums of tails) is exposed as a
+library, and an enumeration harness re-derives the decision by brute force
+on every small graph.
 """
 
-from .graph import (
-    CurveGraph,
-    DisconnectedCurveError,
-    betti,
-    cut_edges,
-    pairing,
-    separating_nodes,
-)
+from .graph import CurveGraph, DisconnectedCurveError, betti
 from .lattice import (
     DegreeClass,
     LatticeSelfCheckError,
@@ -30,7 +23,6 @@ from .lattice import (
 from .levels import (
     LevelExpression,
     NotATwisterError,
-    check_level_degree_bounds,
     crossing_nodes,
     crossing_nodes_of_multidegree,
     is_sum_of_tails,
@@ -42,11 +34,8 @@ from .levels import (
 from .abel import (
     INFINITY,
     InvalidChooserError,
-    NaturalStructure,
     RepChooser,
     choose_representatives,
-    class_has_partitional_rep,
-    count_natural_structure,
     cross_check_naturality,
     essential_connectivity,
     has_natural_abel_map,
@@ -68,20 +57,15 @@ __all__ = [
     "InvalidChooserError",
     "LatticeSelfCheckError",
     "LevelExpression",
-    "NaturalStructure",
     "NotATwisterError",
     "RepChooser",
     "betti",
-    "check_level_degree_bounds",
     "choose_representatives",
     "class_group_order",
-    "class_has_partitional_rep",
     "connected_multigraphs",
-    "count_natural_structure",
     "cross_check_naturality",
     "crossing_nodes",
     "crossing_nodes_of_multidegree",
-    "cut_edges",
     "enumerate_classes",
     "equivalent",
     "essential_connectivity",
@@ -94,11 +78,9 @@ __all__ = [
     "multidegree_levels",
     "multidegree_of",
     "normalize_divisor",
-    "pairing",
     "partitional_multidegrees",
     "partitional_pairs_certified",
     "run_harness",
-    "separating_nodes",
     "twister_divisor",
     "twister_space_dim",
     "validate_chooser",

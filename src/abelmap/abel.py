@@ -10,17 +10,20 @@ The decision implemented here: a natural d-th Abel map exists if and only
 if the essential connectivity exceeds d.  The package also carries an
 independent brute-force route: over all partitional multidegrees of total
 degree d (nonnegative entries), every equivalent pair must differ by a
-sum-of-tails multidegree.  cross_check_naturality compares the two routes
-and is the backbone of the enumeration harness.
+sum-of-tails multidegree, one whose total on every piece is 0.
+cross_check_naturality compares the two routes and is the backbone of the
+enumeration harness.  Both routes read one pieces labelling of the curve
+(CurveGraph.pieces): epsilon scans cuts between pieces, and the sum-of-tails
+test sums over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from . import graph as gr
 from .graph import CurveGraph
 from .lattice import (
     LISTING_LIMIT,
@@ -48,13 +51,10 @@ def essential_connectivity(g: CurveGraph):
     contracted to pieces.  Scans one side of each cut between pieces (the
     unions without the last piece); math.inf for one piece (compact type).
     """
-    bridges = g.bridges
-    piece = gr._components(g.gamma, [g.edges[e] for e in bridges])
+    piece = g.pieces
     bit = {p: 1 << k for k, p in enumerate(dict.fromkeys(piece))}
-    ends = [  # the other nodes, each as the bits of its two pieces
-        bit[piece[a]] | bit[piece[b]]
-        for e, (a, b) in enumerate(g.edges)
-        if a != b and e not in bridges
+    ends = [  # the nodes joining two pieces, each as the bits of its pieces
+        bit[piece[a]] | bit[piece[b]] for a, b in g.edges if piece[a] != piece[b]
     ]
     # a node crosses a cut when the mask holds exactly one of its two bits
     masks = range(1, 1 << (len(bit) - 1))
@@ -86,17 +86,13 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
         raise ValueError(
             f"degree {d} has {count} partitional multidegrees, over {LISTING_LIMIT}"
         )
-    out: list[Multidegree] = []
-
-    def rec(prefix: tuple, remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), d, gamma)
-    return out
+    # stars and bars: the gaps between gamma - 1 bars among d + gamma - 1
+    # slots; bars in lex order give vectors in lex order, and no recursion
+    # as deep as gamma is needed
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + gamma - 1)))
+        for bars in combinations(range(d + gamma - 1), gamma - 1)
+    ]
 
 
 def _partitional_by_class(g: CurveGraph, d: int) -> dict:
@@ -105,11 +101,6 @@ def _partitional_by_class(g: CurveGraph, d: int) -> dict:
     for p in partitional_multidegrees(g.gamma, d):
         first.setdefault(multidegree_class(g, p), p)
     return first
-
-
-def class_has_partitional_rep(g: CurveGraph, cls: DegreeClass) -> Optional[Multidegree]:
-    """Lex-smallest partitional multidegree in the class, or None."""
-    return _partitional_by_class(g, cls.total).get(cls)
 
 
 @dataclass(frozen=True)
@@ -170,43 +161,12 @@ def is_natural(g: CurveGraph, d: int, chooser: Optional[RepChooser] = None) -> b
     return True
 
 
-@dataclass(frozen=True)
-class NaturalStructure:
-    """How many natural d-th Abel maps a curve carries, and why.
-
-    When maps exist they correspond to the valid choosers, one independent
-    sum-of-tails shift per partitional multidegree; the map is unique
-    exactly when the curve has no separating node, since then the only
-    sum-of-tails multidegree is 0.  The sum-of-tails subgroup has one free
-    generator per separating node, so separating_node_count is its rank.
-    """
-
-    exists: bool
-    partitional_count: int
-    separating_node_count: int
-    unique: Optional[bool]  # None when no natural map exists
-
-
-def count_natural_structure(g: CurveGraph, d: int) -> NaturalStructure:
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    exists = has_natural_abel_map(g, d)
-    nb = len(g.bridges)
-    return NaturalStructure(
-        exists=exists,
-        partitional_count=math.comb(d + g.gamma - 1, g.gamma - 1),
-        separating_node_count=nb,
-        unique=(nb == 0) if exists else None,
-    )
-
-
 def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
     """Brute-force side of the criterion.
 
     Every pair of equivalent partitional multidegrees must differ by a
-    sum-of-tails multidegree.  Unordered pairs suffice: the crossing set of
-    a multidegree and of its negative coincide (negating a divisor reflects
-    its levels without changing the partition into level subcurves).
+    sum-of-tails multidegree.  Unordered pairs suffice: a vector's piece
+    totals vanish exactly when those of its negative do.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")

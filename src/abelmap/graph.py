@@ -17,7 +17,16 @@ Conventions used throughout the package:
     so every row of the pairing matrix sums to zero and loops contribute
     nothing;
   * the cut of Z, k_Z = (Z . Z'), counts the non-loop edges joining Z to
-    its complement; a separating node is a bridge of the graph.
+    its complement; a separating node is a bridge of the graph;
+  * a piece is a class of components joined by separating nodes.  The one
+    pieces labelling (CurveGraph.pieces) is the curve with its separating
+    nodes contracted; it serves both essential connectivity and the
+    sum-of-tails test (t is a sum-of-tails multidegree exactly when its
+    total on every piece is 0).
+
+The library needs no pairing or cut of subcurves: it reads the pairing
+matrix and the pieces, and the test suite keeps those subcurve forms as
+oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-Subcurve = frozenset  # frozenset[int], component indices
 NodeSet = frozenset  # frozenset[int], edge ids
 
 
@@ -92,6 +100,13 @@ class CurveGraph:
             if len(set(_components(self.gamma, edges[:e] + edges[e + 1:]))) == 2
         )
 
+    @cached_property
+    def pieces(self) -> tuple[int, ...]:
+        """Piece label of each component: components joined by separating
+        nodes share a label.  A node joins two pieces exactly when its ends
+        carry different labels, so loops and separating nodes never do."""
+        return tuple(_components(self.gamma, [self.edges[e] for e in self.bridges]))
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CurveGraph)
@@ -124,41 +139,6 @@ def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         if ra != rb:
             parent[ra] = rb
     return [find(v) for v in range(gamma)]
-
-
-def subcurve(g: CurveGraph, indices: Iterable[int]) -> Subcurve:
-    """Validate component indices and return them as a subcurve."""
-    z = frozenset(indices)
-    for i in z:
-        if not (0 <= i < g.gamma):
-            raise IndexError(f"component index {i} out of range")
-    return z
-
-
-def pairing(g: CurveGraph, z: Iterable[int], w: Iterable[int]) -> int:
-    """Intersection pairing (Z . W), bilinear in both subcurves.
-
-    (X . Z) = 0 for every Z since the pairing matrix has zero row sums.
-    """
-    zs = subcurve(g, z)
-    ws = subcurve(g, w)
-    m = g.pairing_matrix
-    return sum(m[i][j] for i in zs for j in ws)
-
-
-def cut_edges(g: CurveGraph, z: Iterable[int]) -> NodeSet:
-    """Ids of the non-loop edges joining Z to its complement."""
-    zs = subcurve(g, z)
-    return frozenset(
-        e
-        for e, (a, b) in enumerate(g.edges)
-        if a != b and ((a in zs) != (b in zs))
-    )
-
-
-def separating_nodes(g: CurveGraph) -> NodeSet:
-    """Edge ids whose removal disconnects the dual graph (the bridges)."""
-    return g.bridges
 
 
 def betti(g: CurveGraph, s: Iterable[int]) -> int:

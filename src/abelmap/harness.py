@@ -70,10 +70,13 @@ def connected_multigraphs(
     max_gamma: int, max_edges: int, loops: bool = True
 ) -> Iterator[CurveGraph]:
     """All connected multigraphs with <= max_gamma vertices and <= max_edges
-    edges (loops count), one per isomorphism class, deterministic order."""
+    edges (loops count), one per isomorphism class, deterministic order.
+
+    A connected graph on gamma vertices has at least gamma - 1 edges, so no
+    gamma above max_edges + 1 is enumerated."""
     if max_gamma < 1 or max_edges < 0:
         raise ValueError("bounds must be positive")
-    for gamma in range(1, max_gamma + 1):
+    for gamma in range(1, min(max_gamma, max_edges + 1) + 1):
         slots = _slots(gamma, loops)
         labels = [f"C{i + 1}" for i in range(gamma)]
         for vec in _canonical_vectors(gamma, max_edges, loops):

@@ -12,13 +12,16 @@ different levels; these are the nodes where the twisting line bundle
 actually jumps.  D is a sum of tails (plus a multiple of X) exactly when
 all its crossings are separating nodes, and the first Betti number of the
 contraction onto the crossing set measures how many independent twisters
-realize the same multidegree.
+realize the same multidegree.  A multidegree is that of a sum of tails
+exactly when its total on every piece (the one pieces labelling that also
+serves essential connectivity) is 0, so that test needs no lattice.  The
+degree bounds a canonical expression forces on its base subcurve are
+checked by the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from . import graph as gr
@@ -28,8 +31,6 @@ from .lattice import (
     LatticeSelfCheckError,
     Multidegree,
     _check_vector,
-    multidegree_of,
-    normalize_divisor,
     twister_divisor,
 )
 
@@ -118,33 +119,6 @@ def multidegree_levels(g: CurveGraph, t: Iterable[int]) -> LevelExpression:
     return le
 
 
-def check_level_degree_bounds(g: CurveGraph, t: Iterable[int]) -> bool:
-    """Lower bounds forced on t by its canonical expression; a self-test.
-
-    For every nonempty Y inside the base Z_0 the total of t on Y is at
-    least -m_1 (Y . Z_0) which is itself nonnegative, and for Y = Z_0 the
-    total is at least m_1 k_{Z_0} > 0.  Must hold for every nonzero twister
-    multidegree.  Raises on t = 0 or t outside the lattice.
-    """
-    tv = _check_vector(g, t, "multidegree")
-    le = multidegree_levels(g, tv)
-    if le.is_degenerate:
-        raise ValueError("t = 0 has no positive level")
-    m1 = le.positive_levels[0][0]
-    z0 = sorted(le.base)
-    for size in range(1, len(z0) + 1):
-        for ys in combinations(z0, size):
-            bound = -m1 * gr.pairing(g, ys, z0)
-            if bound < 0:
-                return False
-            ty = sum(tv[i] for i in ys)
-            if ty < bound:
-                return False
-            if size == len(z0) and ty <= 0:
-                return False
-    return True
-
-
 def crossing_nodes(g: CurveGraph, d: Iterable[int]) -> NodeSet:
     """Non-loop edges whose endpoints carry different coefficients of D.
 
@@ -175,15 +149,20 @@ def is_sum_of_tails(g: CurveGraph, d: Iterable[int]) -> bool:
 
 
 def is_sum_of_tails_multidegree(g: CurveGraph, t: Iterable[int]) -> bool:
-    """True when t is the multidegree of a sum of tails.
+    """True when t is the multidegree of a sum of tails: its total on every
+    piece (CurveGraph.pieces) is 0.
 
-    These multidegrees form a subgroup of the twister lattice.  A t outside
-    the lattice is simply not one (returns False, no error).
+    The tail cut off at a separating node (a, b) on the side of a has
+    multidegree e_b - e_a.  The separating nodes of a piece form a spanning
+    tree of it, so these vectors span exactly the vectors whose total on
+    every piece is 0: a subgroup of the twister lattice.  A t outside the
+    lattice is simply not one (returns False, no error).
     """
-    dv = twister_divisor(g, t)
-    if dv is None:
-        return False
-    return crossing_nodes(g, dv) <= g.bridges
+    tv = _check_vector(g, t, "multidegree")
+    totals = dict.fromkeys(g.pieces, 0)
+    for p, x in zip(g.pieces, tv):
+        totals[p] += x
+    return not any(totals.values())
 
 
 def twister_space_dim(g: CurveGraph, t: Iterable[int]) -> int:

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from abelmap import CurveGraph, DisconnectedCurveError, normalize_divisor
-from abelmap.graph import cut_edges
+from abelmap import (
+    CurveGraph,
+    DisconnectedCurveError,
+    NotATwisterError,
+    crossing_nodes_of_multidegree,
+    multidegree_levels,
+    normalize_divisor,
+)
 
 
 def two_component(delta: int, loops: tuple = ()) -> CurveGraph:
@@ -35,6 +41,72 @@ def star(leaves: int) -> CurveGraph:
 def triangle_with_pendant() -> CurveGraph:
     # 3-cycle on C1..C3 plus C4 hanging off C1 by a bridge
     return CurveGraph(["C1", "C2", "C3", "C4"], [(0, 1), (1, 2), (0, 2), (0, 3)])
+
+
+def subcurve(g: CurveGraph, indices) -> frozenset:
+    """Validate component indices and return them as a subcurve."""
+    z = frozenset(indices)
+    for i in z:
+        if not (0 <= i < g.gamma):
+            raise IndexError(f"component index {i} out of range")
+    return z
+
+
+def pairing(g: CurveGraph, z, w) -> int:
+    """Intersection pairing (Z . W), bilinear in both subcurves.
+
+    (X . Z) = 0 for every Z since the pairing matrix has zero row sums.
+    """
+    zs = subcurve(g, z)
+    ws = subcurve(g, w)
+    m = g.pairing_matrix
+    return sum(m[i][j] for i in zs for j in ws)
+
+
+def cut_edges(g: CurveGraph, z) -> frozenset:
+    """Ids of the non-loop edges joining Z to its complement."""
+    zs = subcurve(g, z)
+    return frozenset(
+        e
+        for e, (a, b) in enumerate(g.edges)
+        if a != b and ((a in zs) != (b in zs))
+    )
+
+
+def check_level_degree_bounds(g: CurveGraph, t) -> bool:
+    """Lower bounds forced on t by its canonical expression.
+
+    For every nonempty Y inside the base Z_0 the total of t on Y is at
+    least -m_1 (Y . Z_0) which is itself nonnegative, and for Y = Z_0 the
+    total is at least m_1 k_{Z_0} > 0.  Must hold for every nonzero twister
+    multidegree.  Raises on t = 0 or t outside the lattice.
+    """
+    tv = tuple(t)
+    le = multidegree_levels(g, tv)
+    if le.is_degenerate:
+        raise ValueError("t = 0 has no positive level")
+    m1 = le.positive_levels[0][0]
+    z0 = sorted(le.base)
+    for size in range(1, len(z0) + 1):
+        for ys in combinations(z0, size):
+            bound = -m1 * pairing(g, ys, z0)
+            if bound < 0:
+                return False
+            ty = sum(tv[i] for i in ys)
+            if ty < bound:
+                return False
+            if size == len(z0) and ty <= 0:
+                return False
+    return True
+
+
+def sum_of_tails_multidegree_by_crossings(g: CurveGraph, t) -> bool:
+    """The paper's definition: t is in the twister lattice and every
+    crossing node of its canonical divisor is separating."""
+    try:
+        return crossing_nodes_of_multidegree(g, t) <= g.bridges
+    except NotATwisterError:
+        return False
 
 
 @st.composite

@@ -14,8 +14,6 @@ from abelmap import (
     InvalidChooserError,
     RepChooser,
     choose_representatives,
-    class_has_partitional_rep,
-    count_natural_structure,
     cross_check_naturality,
     enumerate_classes,
     equivalent,
@@ -27,10 +25,10 @@ from abelmap import (
     partitional_pairs_certified,
     validate_chooser,
 )
-from abelmap.graph import cut_edges
 from abelmap.harness import connected_multigraphs
 from helpers import (
     connected_graphs,
+    cut_edges,
     cycle,
     epsilon_over_connected_subcurves,
     path,
@@ -124,29 +122,45 @@ def test_partitional_multidegrees_refuses_huge_counts():
     assert math.comb(67 + 4, 4) <= 10**6 < math.comb(68 + 4, 4)
     with pytest.raises(ValueError, match=str(math.comb(68 + 4, 4))):
         partitional_multidegrees(5, 68)
-    # the count alone needs no list
-    info = count_natural_structure(cycle(5), 999)
-    assert info.partitional_count == math.comb(999 + 4, 4)
 
 
-def test_class_has_partitional_rep_two_components():
+def test_partitional_multidegrees_match_sorted_product_filter():
+    for gamma in range(1, 6):
+        for d in range(5):
+            box = product(range(d + 1), repeat=gamma)
+            expected = sorted(v for v in box if sum(v) == d)
+            assert partitional_multidegrees(gamma, d) == expected, (gamma, d)
+
+
+def test_partitional_multidegrees_many_components():
+    # one vector per component: no recursion as deep as gamma
+    got = partitional_multidegrees(1100, 1)
+    assert len(got) == 1100
+    assert got == sorted(got)
+    assert got[0] == (0,) * 1099 + (1,) and got[-1] == (1,) + (0,) * 1099
+
+
+def _partitional_reps(g, d) -> dict:
+    # class -> its chosen representative, when that one is partitional
+    table = choose_representatives(g, d).table
+    return {cls: rep for cls, rep in table.items() if min(rep) >= 0}
+
+
+def test_chooser_partitional_reps_two_components():
     # three classes at delta = 3, d = 1; the classes of (1,0) and (0,1)
     # are distinct, so two classes carry a partitional rep and one does not
     g = two_component(3)
-    hits = {}
-    for cls in enumerate_classes(g, 1):
-        hits[cls] = class_has_partitional_rep(g, cls)
-    found = [rep for rep in hits.values() if rep is not None]
-    assert sorted(found) == [(0, 1), (1, 0)]
-    assert sum(1 for rep in hits.values() if rep is None) == 1
+    found = _partitional_reps(g, 1)
+    assert sorted(found.values()) == [(0, 1), (1, 0)]
+    assert len(enumerate_classes(g, 1)) - len(found) == 1
     assert multidegree_class(g, (1, 0)) != multidegree_class(g, (0, 1))
 
 
-def test_class_has_partitional_rep_is_lex_smallest():
+def test_chooser_partitional_rep_is_lex_smallest():
     g = two_component(1)
     (cls,) = enumerate_classes(g, 2)
     # (0,2), (1,1), (2,0) are all equivalent here; lex-smallest wins
-    assert class_has_partitional_rep(g, cls) == (0, 2)
+    assert _partitional_reps(g, 2) == {cls: (0, 2)}
 
 
 def test_choose_representatives():
@@ -224,22 +238,6 @@ def test_no_natural_map_rejects_every_chooser():
         assert not is_natural(g, d, chooser)
         count += 1
     assert count > 1
-
-
-def test_count_natural_structure():
-    g = two_component(3)
-    info = count_natural_structure(g, 1)
-    assert info.exists and info.unique
-    assert info.partitional_count == 2
-    assert info.separating_node_count == 0
-
-    bridge = path(2)
-    info = count_natural_structure(bridge, 1)
-    assert info.exists and info.unique is False
-    assert info.separating_node_count == 1
-
-    none = count_natural_structure(two_component(2), 2)
-    assert not none.exists and none.unique is None
 
 
 def test_cross_check_examples():

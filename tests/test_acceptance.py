@@ -12,10 +12,8 @@ import time
 from itertools import product
 
 from abelmap import (
-    check_level_degree_bounds,
+    choose_representatives,
     class_group_order,
-    class_has_partitional_rep,
-    count_natural_structure,
     crossing_nodes_of_multidegree,
     enumerate_classes,
     equivalent,
@@ -23,15 +21,16 @@ from abelmap import (
     is_sum_of_tails,
     is_sum_of_tails_multidegree,
     has_natural_abel_map,
+    multidegree_class,
     multidegree_levels,
     multidegree_of,
     normalize_divisor,
-    separating_nodes,
+    partitional_multidegrees,
     twister_space_dim,
 )
 from abelmap.cli import main
 from abelmap.harness import connected_multigraphs
-from helpers import tail_sum_oracle_table, two_component
+from helpers import check_level_degree_bounds, tail_sum_oracle_table, two_component
 
 
 def _run(n: int, desc: str, capsys, body) -> None:
@@ -175,7 +174,7 @@ def test_criterion_07_sum_of_tails_oracle(capsys):
 def test_criterion_08_twister_dim_chain(capsys):
     def body():
         for g in connected_multigraphs(4, 5):
-            bridges = separating_nodes(g)
+            bridges = g.bridges
             seen = set()
             for dv in product(range(-2, 3), repeat=g.gamma):
                 t = multidegree_of(g, dv)
@@ -200,23 +199,25 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
         assert len(trees) > 5
         for g in trees:
             assert math.isinf(essential_connectivity(g))
+            assert len(g.bridges) == g.gamma - 1
             for d in range(1, 11):
                 assert has_natural_abel_map(g, d)
-                info = count_natural_structure(g, d)
-                assert info.exists
-                assert info.separating_node_count == g.gamma - 1
-                assert info.unique is (g.gamma == 1)
-        # bridge-free graphs that admit natural maps report uniqueness
+        # without separating nodes the only sum-of-tails multidegree is 0, so
+        # a natural map must send each partitional multidegree to itself:
+        # no two of them may share a class
+        unique = 0
         for g in connected_multigraphs(4, 5):
-            if separating_nodes(g):
+            if g.bridges:
                 continue
             for d in range(1, 4):
                 if has_natural_abel_map(g, d):
-                    info = count_natural_structure(g, d)
-                    assert info.separating_node_count == 0
-                    assert info.unique is True
+                    parts = partitional_multidegrees(g.gamma, d)
+                    classes = {multidegree_class(g, p) for p in parts}
+                    assert len(classes) == len(parts), (g, d)
+                    unique += 1
+        assert unique > 10
 
-    _run(9, "trees natural for d<=10; bridge-free existence is unique", capsys, body)
+    _run(9, "trees natural for d<=10; bridge-free natural maps are unique", capsys, body)
 
 
 def test_criterion_10_high_degree_partitional_reps(capsys):
@@ -225,9 +226,10 @@ def test_criterion_10_high_degree_partitional_reps(capsys):
             g = two_component(delta)
             assert class_group_order(g) == delta
             for d in (delta, delta + 1):
-                for cls in enumerate_classes(g, d):
-                    rep = class_has_partitional_rep(g, cls)
-                    assert rep is not None, (delta, d, cls)
-                    assert sum(rep) == d and min(rep) >= 0
+                # the chooser picks a partitional rep whenever a class has one
+                table = choose_representatives(g, d).table
+                assert len(table) == delta
+                for cls, rep in table.items():
+                    assert sum(rep) == d and min(rep) >= 0, (delta, d, cls)
 
     _run(10, "two components, d >= delta: every class has a partitional rep", capsys, body)

@@ -1,4 +1,4 @@
-"""Dual graph structure: pairing, cuts, bridges, Betti numbers, connectivity."""
+"""Dual graph structure: pairing, cuts, bridges, pieces, Betti numbers, connectivity."""
 
 from __future__ import annotations
 
@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelmap import (
-    CurveGraph,
-    DisconnectedCurveError,
-    betti,
-    cut_edges,
-    pairing,
-    separating_nodes,
-)
+from abelmap import CurveGraph, DisconnectedCurveError, betti
 from abelmap.harness import connected_multigraphs
 from helpers import (
     _side_of,
     connected_graphs,
+    cut_edges,
     cycle,
+    pairing,
     path,
     triangle_with_pendant,
     two_component,
@@ -80,14 +75,34 @@ def test_cut_edges_ignore_loops():
 
 
 def test_separating_nodes():
-    assert separating_nodes(path(3)) == frozenset({0, 1})
-    assert separating_nodes(cycle(3)) == frozenset()
-    assert separating_nodes(two_component(2)) == frozenset()
-    assert separating_nodes(two_component(1)) == frozenset({0})
+    assert path(3).bridges == frozenset({0, 1})
+    assert cycle(3).bridges == frozenset()
+    assert two_component(2).bridges == frozenset()
+    assert two_component(1).bridges == frozenset({0})
     # loops are never separating
     g = two_component(1, loops=(0, 1))
-    assert separating_nodes(g) == frozenset({0})
-    assert separating_nodes(triangle_with_pendant()) == frozenset({3})
+    assert g.bridges == frozenset({0})
+    assert triangle_with_pendant().bridges == frozenset({3})
+
+
+def test_pieces_examples():
+    assert len(set(path(4).pieces)) == 1  # compact type: one piece
+    assert cycle(3).pieces == (0, 1, 2)
+    # the triangle is three pieces, and the pendant joins C1's piece
+    p = triangle_with_pendant().pieces
+    assert p[3] == p[0] and len(set(p)) == 3
+
+
+@settings(deadline=None)
+@given(connected_graphs())
+def test_pieces_are_the_bridge_forest_components(g):
+    # bridges join one piece, every other non-loop node two, and the bridges
+    # form a forest, so there is one piece per component of that forest
+    piece = g.pieces
+    for e, (a, b) in enumerate(g.edges):
+        if a != b:
+            assert (piece[a] == piece[b]) == (e in g.bridges)
+    assert len(set(piece)) == g.gamma - len(g.bridges)
 
 
 def test_contract_complement_examples():
@@ -107,7 +122,7 @@ def test_loop_in_node_set_stays_a_loop():
 
 def test_betti_zero_iff_separating_exhaustive():
     for g in connected_multigraphs(4, 5):
-        bridges = separating_nodes(g)
+        bridges = g.bridges
         for mask in range(1 << g.edge_count):
             s = frozenset(e for e in range(g.edge_count) if mask >> e & 1)
             assert (betti(g, s) == 0) == (s <= bridges)

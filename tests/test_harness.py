@@ -63,6 +63,21 @@ def test_exact_graph_counts():
     assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
 
 
+def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
+    # a connected curve on gamma components needs gamma - 1 nodes, so three
+    # nodes reach gamma = 4 at most; the guard fails fast on 5! relabelings
+    # and more instead of building them
+    getters = harness._perm_getters
+
+    def guarded(gamma, slots):
+        if gamma > 4:
+            raise AssertionError(f"enumerated gamma = {gamma}")
+        return getters(gamma, slots)
+
+    monkeypatch.setattr(harness, "_perm_getters", guarded)
+    assert list(connected_multigraphs(12, 3)) == list(connected_multigraphs(4, 3))
+
+
 def test_enumeration_contains_known_shapes():
     graphs = list(connected_multigraphs(3, 3, loops=False))
     matrices = {g.pairing_matrix for g in graphs}

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from abelmap import (
     CurveGraph,
     NotATwisterError,
-    check_level_degree_bounds,
     crossing_nodes,
     crossing_nodes_of_multidegree,
     is_sum_of_tails,
@@ -20,16 +19,19 @@ from abelmap import (
     multidegree_levels,
     multidegree_of,
     normalize_divisor,
-    separating_nodes,
     twister_divisor,
     twister_space_dim,
 )
 from abelmap.harness import connected_multigraphs
 from helpers import (
+    bridge_tails,
+    check_level_degree_bounds,
+    connected_graphs,
     cycle,
     path,
     star,
     sum_of_tails_by_search,
+    sum_of_tails_multidegree_by_crossings,
     tail_sum_oracle_table,
     triangle_with_pendant,
     two_component,
@@ -165,6 +167,40 @@ def test_is_sum_of_tails_examples():
     assert not is_sum_of_tails_multidegree(g2, (2, -2))
     # outside the lattice: False, not an error
     assert not is_sum_of_tails_multidegree(g2, (1, -1))
+    with pytest.raises(ValueError):
+        is_sum_of_tails_multidegree(g2, (0, 0, 0))
+    # C4 hangs off the triangle by a separating node: pieces {C1, C4}, {C2},
+    # {C3}; the tail C4 has multidegree e_1 - e_4
+    g3 = triangle_with_pendant()
+    assert is_sum_of_tails_multidegree(g3, (3, 0, 0, -3))
+    assert not is_sum_of_tails_multidegree(g3, (2, 1, 0, -3))  # total 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(connected_graphs(), st.data())
+def test_sum_of_tails_multidegree_matches_crossing_oracle(g, data):
+    entries = st.lists(st.integers(-3, 3), min_size=g.gamma, max_size=g.gamma)
+    v = data.draw(entries)
+    coeffs = data.draw(entries)
+    # a sum of tails, one tail per separating node (the side avoiding C1)
+    tails = [0] * g.gamma
+    for c, tail in zip(coeffs, bridge_tails(g)):
+        for i in tail:
+            tails[i] += c
+    # any vector (any total, mostly off the lattice), a twister multidegree,
+    # and the multidegree of the sum of tails
+    for t in (v, multidegree_of(g, v), multidegree_of(g, tails)):
+        fast = is_sum_of_tails_multidegree(g, t)
+        assert fast == sum_of_tails_multidegree_by_crossings(g, t), (g, t)
+    assert is_sum_of_tails_multidegree(g, multidegree_of(g, tails))
+
+
+def test_sum_of_tails_multidegree_matches_crossing_oracle_exhaustive():
+    # every vector of the box, on and off the lattice, of every total
+    for g in connected_multigraphs(4, 5):
+        for t in product(range(-2, 3), repeat=g.gamma):
+            fast = is_sum_of_tails_multidegree(g, t)
+            assert fast == sum_of_tails_multidegree_by_crossings(g, t), (g, t)
 
 
 def test_sum_of_tails_star_needs_doubled_search_bound():
@@ -212,7 +248,7 @@ def test_twister_space_dim_examples():
 
 def test_dim_zero_iff_sum_of_tails():
     for g in connected_multigraphs(3, 4):
-        bridges = separating_nodes(g)
+        bridges = g.bridges
         for dv in product(range(-2, 3), repeat=g.gamma):
             t = multidegree_of(g, dv)
             crossing = crossing_nodes_of_multidegree(g, t)

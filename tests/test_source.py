@@ -16,3 +16,27 @@ def test_no_assert_statements():
         asserts = [n for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         found += [f"{path.name}:{n.lineno}" for n in asserts]
     assert found == []
+
+
+def test_every_export_has_a_library_caller():
+    # an export that only tests use belongs in tests/helpers.py: every name
+    # in __all__ must be read by library code outside __init__.py and
+    # outside the name's own top-level definition.  Code that only such an
+    # export runs does not count, so a chain of test-only names fails whole.
+    reads = []  # (top-level name the statement defines or None, names read)
+    for path in sorted(Path(abelmap.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            defined = getattr(stmt, "name", None)
+            names.discard(defined)
+            reads.append((defined, names))
+    unused: set = set()
+    while True:  # grows until no read comes from an unused export
+        used = set().union(*(names for defined, names in reads if defined not in unused))
+        if set(abelmap.__all__) - used == unused:
+            break
+        unused = set(abelmap.__all__) - used
+    assert sorted(unused) == []
