@@ -17,7 +17,8 @@ Conventions used throughout the package:
     so every row of the pairing matrix sums to zero and loops contribute
     nothing;
   * the cut of Z, k_Z = (Z . Z'), counts the non-loop edges joining Z to
-    its complement; a separating node is a bridge of the graph;
+    its complement; a separating node is a bridge of the graph, and one
+    low-link depth-first search (Tarjan) finds them all in O(gamma + E);
   * a piece is a class of components joined by separating nodes.  The one
     pieces labelling (CurveGraph.pieces) is the curve with its separating
     nodes contracted; it serves both essential connectivity and the
@@ -45,8 +46,9 @@ class CurveGraph:
     """Immutable dual graph: labeled components plus a multiset of edges.
 
     Loops and parallel edges are allowed; the graph without its loops must
-    be connected.  Instances hash and compare by (components, edges), so
-    structurally equal graphs share cached lattice data.
+    be connected.  Instances compare by (components, edges) and hash by
+    their edges, computed once, so structurally equal graphs share cached
+    lattice data.
     """
 
     def __init__(self, components: Iterable[str], edges: Iterable[tuple[int, int]]):
@@ -62,6 +64,8 @@ class CurveGraph:
                 raise IndexError(f"edge ({a}, {b}) out of range for {g} components")
             norm.append((a, b) if a <= b else (b, a))
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
+        # a tuple of int pairs hashes the same under every PYTHONHASHSEED
+        self._hash = hash(self.edges)
         if len(set(_components(g, self.edges))) > 1:
             raise DisconnectedCurveError("dual graph is not connected")
 
@@ -92,13 +96,46 @@ class CurveGraph:
 
     @cached_property
     def bridges(self) -> NodeSet:
-        """Edge ids of the separating nodes: removing one leaves two components."""
-        edges = self.edges
-        return frozenset(
-            e
-            for e in range(len(edges))
-            if len(set(_components(self.gamma, edges[:e] + edges[e + 1:]))) == 2
-        )
+        """Edge ids of the separating nodes: removing one leaves two components.
+
+        Tarjan's low-link depth-first search, O(gamma + E) and iterative, so
+        a long path needs no deep recursion.  The search skips the node it
+        arrived by, not the component it came from, so two nodes joining the
+        same components are never separating; loops never are, and are
+        skipped.
+        """
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.gamma)]
+        for e, (a, b) in enumerate(self.edges):
+            if a != b:
+                adj[a].append((b, e))
+                adj[b].append((a, e))
+        # order[v]: 1 + position of v in the search, 0 while unvisited;
+        # low[v]: least order reached from v's subtree by one non-tree node
+        order = [0] * self.gamma
+        low = [0] * self.gamma
+        order[0] = low[0] = count = 1
+        stack = [(0, -1, iter(adj[0]))]  # (component, node in, untried nodes)
+        found = []
+        while stack:
+            v, via, untried = stack[-1]
+            for w, e in untried:
+                if e == via:
+                    continue
+                if order[w]:
+                    low[v] = min(low[v], order[w])
+                else:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append((w, e, iter(adj[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > order[u]:  # nothing below v reaches above it
+                        found.append(via)
+        return frozenset(found)
 
     @cached_property
     def pieces(self) -> tuple[int, ...]:
@@ -115,7 +152,7 @@ class CurveGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.components, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CurveGraph({list(self.components)!r}, {list(self.edges)!r})"

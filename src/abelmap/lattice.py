@@ -1,8 +1,8 @@
 """Twister lattice and degree classes of a nodal curve.
 
 A divisor supported on the components is a coefficient vector D; its
-multidegree is deg D = ((D . C_0), ..., (D . C_{gamma-1})), computed with the
-pairing matrix.  The image of deg is the twister lattice: it records which
+multidegree is deg D = ((D . C_0), ..., (D . C_{gamma-1})), read off the
+edge list.  The image of deg is the twister lattice: it records which
 multidegrees arise from twisting by components.  Since deg X = 0 the map
 descends to divisors modulo X, where it is injective, and its image is a
 finite-index sublattice of the degree-0 vectors.
@@ -127,10 +127,18 @@ def _check_vector(g: CurveGraph, v: Iterable[int], what: str) -> tuple:
 
 
 def multidegree_of(g: CurveGraph, d: Iterable[int]) -> Multidegree:
-    """deg D = pairing of D against every component; always sums to zero."""
+    """deg D = pairing of D against every component; always sums to zero.
+
+    Read off the edge list in O(gamma + E): a node (a, b) adds D_b - D_a to
+    entry a and D_a - D_b to entry b, and a loop adds nothing.
+    """
     dv = _check_vector(g, d, "divisor")
-    m = g.pairing_matrix
-    return tuple(sum(m[i][j] * dv[j] for j in range(g.gamma)) for i in range(g.gamma))
+    out = [0] * g.gamma
+    for a, b in g.edges:
+        x = dv[b] - dv[a]
+        out[a] += x
+        out[b] -= x
+    return tuple(out)
 
 
 def normalize_divisor(d: Iterable[int]) -> Divisor:

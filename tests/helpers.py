@@ -33,6 +33,12 @@ def path(n: int) -> CurveGraph:
     return CurveGraph(labels, [(i, i + 1) for i in range(n - 1)])
 
 
+def doubled_cycle(n: int) -> CurveGraph:
+    """n components in a ring, each consecutive pair meeting in two nodes."""
+    labels = [f"C{i + 1}" for i in range(n)]
+    return CurveGraph(labels, [(i, (i + 1) % n) for i in range(n)] * 2)
+
+
 def star(leaves: int) -> CurveGraph:
     labels = [f"C{i + 1}" for i in range(leaves + 1)]
     return CurveGraph(labels, [(0, i + 1) for i in range(leaves)])
@@ -179,6 +185,31 @@ def epsilon_over_connected_subcurves(g: CurveGraph):
         if not cut <= g.bridges:
             best = min(best, len(cut))
     return best
+
+
+def epsilon_by_piece_scan(g: CurveGraph):
+    """Essential connectivity by scanning every cut between pieces.
+
+    One side of each cut is a union of pieces without the last piece; a
+    node crosses the cut when the side holds exactly one of its two pieces.
+    Exponential in the number of pieces; math.inf for one piece.
+    """
+    piece = g.pieces
+    bit = {p: 1 << k for k, p in enumerate(dict.fromkeys(piece))}
+    ends = [bit[piece[a]] | bit[piece[b]] for a, b in g.edges if piece[a] != piece[b]]
+    masks = range(1, 1 << (len(bit) - 1))
+    return min((sum(0 < m & xy < xy for xy in ends) for m in masks), default=math.inf)
+
+
+def bridges_by_removal(g: CurveGraph) -> frozenset:
+    """Edge ids whose removal, one at a time, disconnects the curve."""
+    return frozenset(e for e in range(g.edge_count) if _side_of(g, e))
+
+
+def multidegree_by_pairing_matrix(g: CurveGraph, d) -> tuple:
+    """deg D as the dense product of the pairing matrix with D."""
+    m = g.pairing_matrix
+    return tuple(sum(m[i][j] * d[j] for j in range(g.gamma)) for i in range(g.gamma))
 
 
 def bridge_tails(g: CurveGraph) -> list[frozenset]:

@@ -27,9 +27,12 @@ from abelmap import (
 )
 from abelmap.harness import connected_multigraphs
 from helpers import (
+    bridges_by_removal,
     connected_graphs,
     cut_edges,
     cycle,
+    doubled_cycle,
+    epsilon_by_piece_scan,
     epsilon_over_connected_subcurves,
     path,
     star,
@@ -70,13 +73,38 @@ def test_epsilon_three_forms_agree():
         full = essential_connectivity(g)
         conn = epsilon_over_connected_subcurves(g)
         no_bridge = _epsilon_no_bridge_in_cut(g)
-        assert full == conn == no_bridge
+        scan = epsilon_by_piece_scan(g)
+        assert full == conn == no_bridge == scan
 
 
 @settings(deadline=None)
 @given(connected_graphs())
 def test_epsilon_matches_connected_subcurve_oracle(g):
     assert essential_connectivity(g) == epsilon_over_connected_subcurves(g)
+
+
+def test_epsilon_and_bridges_match_oracles_exhaustive():
+    for g in connected_multigraphs(5, 8):
+        assert essential_connectivity(g) == epsilon_by_piece_scan(g)
+        assert g.bridges == bridges_by_removal(g)
+
+
+@settings(deadline=None)
+@given(connected_graphs(max_gamma=14))
+def test_epsilon_matches_piece_scan_oracle(g):
+    assert essential_connectivity(g) == epsilon_by_piece_scan(g)
+
+
+def test_epsilon_at_scale():
+    assert essential_connectivity(doubled_cycle(200)) == 4
+    # two doubled 100-cycles joined by three nodes: cutting those is cheapest
+    ring = [(i, (i + 1) % 100) for i in range(100)] * 2
+    edges = ring + [(a + 100, b + 100) for a, b in ring] + [(0, 100), (30, 150), (60, 170)]
+    assert essential_connectivity(CurveGraph([f"C{i}" for i in range(200)], edges)) == 3
+    # a path: every node separating, one piece, found without deep recursion
+    g = path(2000)
+    assert len(g.bridges) == 1999
+    assert essential_connectivity(g) == math.inf
 
 
 def test_epsilon_scans_pieces_not_components():

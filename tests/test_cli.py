@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import abelmap
 from abelmap import choose_representatives, cli
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult
+from helpers import doubled_cycle, path
 
 TWO_DELTA3 = {
     "components": ["C1", "C2"],
@@ -254,6 +259,21 @@ def test_huge_class_count_is_refused(graph_file, tmp_path, capsys):
     for extra in (["classes"], ["choose-reps"], ["is-natural", "--reps", str(reps)]):
         assert main([extra[0], f, "--degree", "1", *extra[1:]]) == 2
         assert str(24 * 2**23) in _one_line_error(capsys)
+
+
+def test_natural_abel_at_scale_finishes(graph_file):
+    # ε by a scan over cuts or bridges by removing each node in turn would
+    # run into the timeout here instead of hanging the suite
+    src = str(Path(abelmap.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for g, eps in ((doubled_cycle(200), "4"), (path(2000), "infinity")):
+        f = graph_file(serialize_graph(g))
+        proc = subprocess.run(
+            [sys.executable, "-m", "abelmap", "natural-abel", f, "--degree", "3"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"epsilon: {eps}\n" in proc.stdout
 
 
 def test_canonical_rep_domain_error_shows_basis(graph_file, capsys):

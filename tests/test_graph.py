@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abelmap
 from abelmap import CurveGraph, DisconnectedCurveError, betti
 from abelmap.harness import connected_multigraphs
 from helpers import (
-    _side_of,
+    bridges_by_removal,
     connected_graphs,
     cut_edges,
     cycle,
@@ -138,9 +144,9 @@ def test_single_edge_betti():
 
 
 @settings(deadline=None)
-@given(connected_graphs())
+@given(connected_graphs(max_gamma=14))
 def test_bridges_match_removal_oracle(g):
-    cut_off = {e for e in range(g.edge_count) if _side_of(g, e)}
+    cut_off = bridges_by_removal(g)
     assert g.bridges == cut_off
     for e in range(g.edge_count):
         assert (betti(g, {e}) == 0) == (e in cut_off)
@@ -184,3 +190,22 @@ def test_graph_equality_and_hash():
     b = two_component(2)
     assert a == b and hash(a) == hash(b)
     assert a != two_component(3)
+
+
+def test_hash_does_not_depend_on_the_hash_seed():
+    # a graph sent to a spawn-started worker must keep its hash there
+    script = (
+        "from abelmap import CurveGraph\n"
+        "print(hash(CurveGraph(['A', 'B', 'C'], [(0, 1), (1, 2), (2, 2), (0, 1)])))"
+    )
+    src = str(Path(abelmap.__file__).parent.parent)
+    hashes = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.add(proc.stdout)
+    assert len(hashes) == 1

@@ -32,7 +32,16 @@ from abelmap import (
 from abelmap.harness import connected_multigraphs
 from abelmap.intlinalg import row_hnf
 from abelmap.lattice import LISTING_LIMIT
-from helpers import cycle, path, star, triangle_with_pendant, two_component
+from helpers import (
+    connected_graphs,
+    cycle,
+    doubled_cycle,
+    multidegree_by_pairing_matrix,
+    path,
+    star,
+    triangle_with_pendant,
+    two_component,
+)
 
 SAMPLE_GRAPHS = [
     two_component(1),
@@ -58,6 +67,13 @@ def test_multidegree_total_is_zero():
     for g in SAMPLE_GRAPHS:
         for dv in product(range(-2, 3), repeat=g.gamma):
             assert sum(multidegree_of(g, dv)) == 0
+
+
+@settings(deadline=None)
+@given(connected_graphs(), st.data())
+def test_multidegree_matches_pairing_matrix_product(g, data):
+    dv = data.draw(st.lists(st.integers(-5, 5), min_size=g.gamma, max_size=g.gamma))
+    assert multidegree_of(g, dv) == multidegree_by_pairing_matrix(g, dv)
 
 
 def test_normalize_divisor():
@@ -225,8 +241,7 @@ def test_build_check_rejects_a_basis_off_its_preimages(monkeypatch):
 
 
 def test_enumerate_classes_refuses_huge_counts():
-    edges = [(i, (i + 1) % 24) for i in range(24)] * 2
-    doubled = CurveGraph([f"C{i}" for i in range(24)], edges)
+    doubled = doubled_cycle(24)
     assert class_group_order(doubled) == 24 * 2**23 > LISTING_LIMIT
     with pytest.raises(ValueError, match=str(24 * 2**23)):
         enumerate_classes(doubled, 1)
