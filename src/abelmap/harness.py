@@ -5,6 +5,13 @@ pairs (loops included unless disabled) in lex order, and kept when the
 non-loop support is connected and no relabeling is lex-smaller: one vector,
 the orbit minimum, per isomorphism class.  Every checked property is
 isomorphism-invariant, so that covers all labeled graphs.
+
+Rejection is orderly (Read, "Every one a winner", 1978): a prefix of k
+multiplicities is dropped as soon as a relabeling that maps the first k
+slots onto themselves makes it lex-smaller.  That relabeling's image on the
+first k slots depends only on the prefix, so it makes every completion
+lex-smaller too, and no orbit minimum is lost.  At k = all slots every
+relabeling qualifies, and the test is the full orbit-minimum test.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,6 +28,7 @@ from typing import Iterator
 
 from .abel import cross_check_naturality
 from .graph import CurveGraph, _components
+from .lattice import LISTING_LIMIT
 
 BATCH_PER_WORKER = 128  # graphs handed to the process pool per worker at once
 
@@ -32,32 +41,35 @@ def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
     ]
 
 
-def _perm_getters(gamma: int, slots: list[tuple[int, int]]):
-    # one itemgetter per vertex permutation, mapping a multiplicity vector
-    # to its relabeled copy; identity included
+def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
+    # tables[k]: one itemgetter per distinct non-identity relabeling of the
+    # first k slots by a vertex permutation that maps them onto themselves
     index = {s: k for k, s in enumerate(slots)}
-    getters = []
+    images = [{} for _ in range(len(slots) + 1)]  # dicts keep first-seen order
     for perm in itertools.permutations(range(gamma)):
         image = [0] * len(slots)
         for k, (i, j) in enumerate(slots):
             a, b = perm[i], perm[j]
             image[index[(a, b) if a <= b else (b, a)]] = k
-        getters.append(itemgetter(*image))
-    return getters
+        for k, top in enumerate(itertools.accumulate(image, max), 1):
+            if top == k - 1:  # k distinct indices below k are range(k)
+                images[k][tuple(image[:k])] = None
+    return [
+        [itemgetter(*im) for im in ims if im != tuple(range(k))]
+        for k, ims in enumerate(images)
+    ]
 
 
 def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tuple]:
     slots = _slots(gamma, loops)
-    # an itemgetter of one index returns a scalar; one slot has one labeling
-    getters = _perm_getters(gamma, slots) if len(slots) > 1 else []
+    tables = _perm_getters(gamma, slots)
     n = len(slots)
 
     def rec(prefix: tuple, budget: int) -> Iterator[tuple]:
+        if any(g(prefix) < prefix for g in tables[len(prefix)]):
+            return
         if len(prefix) == n:
-            # the cheaper test first: most vectors have a smaller relabeling
-            if all(g(prefix) >= prefix for g in getters) and (
-                len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1
-            ):
+            if len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1:
                 yield prefix
             return
         for m in range(budget + 1):
@@ -73,10 +85,16 @@ def connected_multigraphs(
     edges (loops count), one per isomorphism class, deterministic order.
 
     A connected graph on gamma vertices has at least gamma - 1 edges, so no
-    gamma above max_edges + 1 is enumerated."""
+    gamma above max_edges + 1 is enumerated.  A largest gamma with more than
+    LISTING_LIMIT relabelings raises ValueError before any is built."""
     if max_gamma < 1 or max_edges < 0:
         raise ValueError("bounds must be positive")
-    for gamma in range(1, min(max_gamma, max_edges + 1) + 1):
+    top = min(max_gamma, max_edges + 1)
+    if math.factorial(top) > LISTING_LIMIT:
+        raise ValueError(
+            f"gamma {top} has {math.factorial(top)} relabelings, over {LISTING_LIMIT}"
+        )
+    for gamma in range(1, top + 1):
         slots = _slots(gamma, loops)
         labels = [f"C{i + 1}" for i in range(gamma)]
         for vec in _canonical_vectors(gamma, max_edges, loops):

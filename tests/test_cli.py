@@ -384,6 +384,16 @@ def test_harness_command(capsys):
     assert "jobs must be >= 1" in _one_line_error(capsys)
 
 
+def test_harness_refuses_gamma_ten(monkeypatch, capsys):
+    def guarded(gamma, slots):
+        raise AssertionError(f"built the table of gamma = {gamma}")
+
+    monkeypatch.setattr(abelmap.harness, "_perm_getters", guarded)
+    argv = ["harness", "--max-gamma", "10", "--max-edges", "9", "--max-degree", "1"]
+    assert main(argv) == 2
+    assert "3628800 relabelings" in _one_line_error(capsys)
+
+
 def test_harness_failures_report(monkeypatch, capsys):
     failing = HarnessResult(
         graphs=4, checks=8, failures=((("C1", "C2"), ((0, 1), (0, 1)), 2),)

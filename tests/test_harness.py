@@ -52,15 +52,42 @@ def test_enumeration_dedups_isomorphic_relabelings():
 
 @pytest.mark.parametrize("loops", [True, False])
 def test_early_exit_canonicity_matches_orbit_minimum(loops):
-    for gamma in range(1, 5):
-        for max_edges in range(7):
+    for gamma in range(1, 6):
+        # with loops, gamma = 5 stops at five nodes, where the oracle
+        # already takes about half a second
+        for max_edges in range(6 if (gamma, loops) == (5, True) else 7):
             got = list(_canonical_vectors(gamma, max_edges, loops))
             assert got == canonical_vectors_by_min(gamma, max_edges, loops), (gamma, max_edges)
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_prefix_tables_fix_their_prefix(loops):
+    # the pruning is sound only if each prefix-k relabeling permutes the
+    # first k slots among themselves
+    for gamma in range(1, 6):
+        slots = harness._slots(gamma, loops)
+        n = len(slots)
+        tables = harness._perm_getters(gamma, slots)
+        assert len(tables) == n + 1
+        for k, table in enumerate(tables):
+            images = [g(tuple(range(k))) for g in table]
+            assert len(set(images)) == len(images)
+            for image in images:
+                assert sorted(image) == list(range(k)) and image != tuple(range(k))
+        index = {s: k for k, s in enumerate(slots)}
+        every = set()
+        for perm in permutations(range(gamma)):
+            image = [0] * n
+            for k, (i, j) in enumerate(slots):
+                image[index[tuple(sorted((perm[i], perm[j])))]] = k
+            every.add(tuple(image))
+        assert {g(tuple(range(n))) for g in tables[n]} == every - {tuple(range(n))}
 
 
 def test_exact_graph_counts():
     assert sum(1 for _ in connected_multigraphs(5, 7)) == 1177
     assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
+    assert sum(1 for _ in connected_multigraphs(6, 8, loops=False)) == 998
 
 
 def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
@@ -76,6 +103,22 @@ def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
 
     monkeypatch.setattr(harness, "_perm_getters", guarded)
     assert list(connected_multigraphs(12, 3)) == list(connected_multigraphs(4, 3))
+
+
+def test_enumeration_refuses_relabeling_tables_that_cannot_be_built(monkeypatch):
+    # nine nodes reach gamma = 10, whose 10! relabelings are over
+    # LISTING_LIMIT; the guard fails fast if any table is built
+    def guarded(gamma, slots):
+        raise AssertionError(f"built the table of gamma = {gamma}")
+
+    monkeypatch.setattr(harness, "_perm_getters", guarded)
+    with pytest.raises(ValueError, match="gamma 10 has 3628800 relabelings"):
+        run_harness(10, 9, 1)
+    with pytest.raises(ValueError, match="gamma 10 has 3628800 relabelings"):
+        next(connected_multigraphs(12, 9, loops=False))
+    # eight nodes reach gamma = 9 (362880 relabelings): enumeration starts
+    with pytest.raises(AssertionError, match="gamma = 1"):
+        run_harness(10, 8, 1)
 
 
 def test_enumeration_contains_known_shapes():
