@@ -12,6 +12,7 @@ from .graph import CurveGraph, DisconnectedCurveError, betti
 from .lattice import (
     DegreeClass,
     LatticeSelfCheckError,
+    NotATwisterError,
     class_group_order,
     enumerate_classes,
     equivalent,
@@ -22,7 +23,6 @@ from .lattice import (
 )
 from .levels import (
     LevelExpression,
-    NotATwisterError,
     crossing_nodes,
     crossing_nodes_of_multidegree,
     is_sum_of_tails,

@@ -27,10 +27,11 @@ from typing import Optional
 
 from .graph import CurveGraph
 from .lattice import (
-    LISTING_LIMIT,
     DegreeClass,
     Multidegree,
+    _check_listing,
     _check_vector,
+    class_group_order,
     enumerate_classes,
     equivalent,
     multidegree_class,
@@ -119,11 +120,7 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
         raise ValueError("gamma must be >= 1")
     if d < 0:
         return []
-    count = math.comb(d + gamma - 1, gamma - 1)
-    if count > LISTING_LIMIT:
-        raise ValueError(
-            f"degree {d} has {count} partitional multidegrees, over {LISTING_LIMIT}"
-        )
+    _check_partitional(gamma, d)
     # stars and bars: the gaps between gamma - 1 bars among d + gamma - 1
     # slots; bars in lex order give vectors in lex order, and no recursion
     # as deep as gamma is needed
@@ -133,12 +130,11 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     ]
 
 
-def _partitional_by_class(g: CurveGraph, d: int) -> dict:
-    # class -> its lex-smallest partitional multidegree, for total d
-    first: dict[DegreeClass, Multidegree] = {}
-    for p in partitional_multidegrees(g.gamma, d):
-        first.setdefault(multidegree_class(g, p), p)
-    return first
+def _check_partitional(gamma: int, d: int) -> None:
+    # binomial(n, k) of them, one factor at a time (none when gamma or d < 1)
+    n, k = d + gamma - 1, min(d, gamma - 1)
+    factors = ((n - k + i, i) for i in range(1, k + 1))
+    _check_listing(f"degree {d}", "partitional multidegrees", factors)
 
 
 @dataclass(frozen=True)
@@ -157,23 +153,30 @@ def choose_representatives(g: CurveGraph, d: int) -> RepChooser:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    first = _partitional_by_class(g, d)
+    first: dict[DegreeClass, Multidegree] = {}
+    for p in partitional_multidegrees(g.gamma, d):
+        first.setdefault(multidegree_class(g, p), p)
     table = {cls: first.get(cls, cls.canonical) for cls in enumerate_classes(g, d)}
     return RepChooser(degree=d, table=table)
 
 
 def validate_chooser(g: CurveGraph, d: int, chooser: RepChooser) -> None:
-    """Raise InvalidChooserError unless the chooser fits (g, d) exactly."""
+    """Raise InvalidChooserError unless the chooser fits (g, d) exactly: each
+    key the class of its representative of total d, and as many keys as
+    classes (then they are every class)."""
     if chooser.degree != d:
         raise InvalidChooserError(f"chooser degree {chooser.degree} != {d}")
-    if set(chooser.table) != set(enumerate_classes(g, d)):
-        raise InvalidChooserError("chooser classes do not match the graph's classes")
     for cls, rep in chooser.table.items():
         rv = _check_vector(g, rep, "representative")
         if sum(rv) != d:
             raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
         if multidegree_class(g, rv) != cls:
             raise InvalidChooserError(f"representative {rv} is not in its class")
+    order = class_group_order(g)
+    if len(chooser.table) != order:
+        raise InvalidChooserError(
+            f"chooser has {len(chooser.table)} classes, the curve has {order}"
+        )
 
 
 def is_natural(g: CurveGraph, d: int, chooser: Optional[RepChooser] = None) -> bool:
@@ -182,17 +185,18 @@ def is_natural(g: CurveGraph, d: int, chooser: Optional[RepChooser] = None) -> b
     True when every partitional multidegree differs from its class's chosen
     representative by a sum-of-tails multidegree.  The default chooser is
     choose_representatives(g, d); only its partitional representatives are
-    ever looked up, so it is not built over every class.
+    ever looked up, so it starts empty and takes each class's first (lex-
+    smallest) partitional member; a validated table already has every class.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     if chooser is None:
-        table = _partitional_by_class(g, d)
+        table = {}
     else:
         validate_chooser(g, d, chooser)
         table = chooser.table
     for p in partitional_multidegrees(g.gamma, d):
-        rep = table[multidegree_class(g, p)]
+        rep = table.setdefault(multidegree_class(g, p), p)
         t = tuple(x - y for x, y in zip(p, rep))
         if not is_sum_of_tails_multidegree(g, t):
             return False

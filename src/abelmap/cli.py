@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from . import abel, lattice, levels
 from .graph import CurveGraph
 from .harness import run_harness
-from .levels import NotATwisterError
 
 INFINITY_TOKEN = "infinity"
 
@@ -175,7 +174,8 @@ T = (_Option("--t", VECTOR),)
 def _info(g: CurveGraph) -> dict:
     return {
         "components": list(g.components), "gamma": g.gamma, "edges": g.edge_count,
-        "loops": len(g.loop_ids), "separating_nodes": sorted(g.bridges),
+        "loops": sum(a == b for a, b in g.edges),
+        "separating_nodes": sorted(g.bridges),
         "class_group_order": lattice.class_group_order(g),
     }
 
@@ -256,10 +256,11 @@ def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
         payload = payload["outputs"]  # a full choose-reps --json report
     if not isinstance(payload, dict) or not isinstance(payload.get("reps"), list):
         raise ValueError('reps file needs a "reps" list')
-    if payload.get("degree") is not None and payload["degree"] != degree:
-        raise ValueError(
-            f'reps file degree {payload["degree"]} does not match --degree {degree}'
-        )
+    given = payload.get("degree", degree)
+    if type(given) is not int:
+        raise ValueError(f'reps file "degree" {given!r} must be an integer')
+    if given != degree:
+        raise ValueError(f"reps file degree {given} does not match --degree {degree}")
     table = {}
     for rep in payload["reps"]:
         if not (isinstance(rep, list) and all(type(x) is int for x in rep)):
@@ -392,10 +393,6 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     try:
         return _run(args.command, args)
-    except NotATwisterError as exc:
-        cols = "; ".join(str(col) for _, _, col, _ in lattice._lattice(exc.graph).basis)
-        print(f"error: {exc} (lattice basis columns: {cols})", file=sys.stderr)
-        return 2
     except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

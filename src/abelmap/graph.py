@@ -47,8 +47,7 @@ class CurveGraph:
 
     Loops and parallel edges are allowed; the graph without its loops must
     be connected.  Instances compare by (components, edges) and hash by
-    their edges, computed once, so structurally equal graphs share cached
-    lattice data.
+    their edges, computed once.
     """
 
     def __init__(self, components: Iterable[str], edges: Iterable[tuple[int, int]]):
@@ -76,10 +75,6 @@ class CurveGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def loop_ids(self) -> NodeSet:
-        return frozenset(e for e, (a, b) in enumerate(self.edges) if a == b)
 
     @cached_property
     def pairing_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -180,14 +175,9 @@ def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 def betti(g: CurveGraph, s: Iterable[int]) -> int:
     """First Betti number of the contraction onto S: #S + 1 - #vertices."""
-    ss = _node_set(g, s)
-    kept = [edge for e, edge in enumerate(g.edges) if e not in ss]
-    return len(ss) + 1 - len(set(_components(g.gamma, kept)))
-
-
-def _node_set(g: CurveGraph, s: Iterable[int]) -> NodeSet:
     ss = frozenset(s)
     for e in ss:
         if not (0 <= e < g.edge_count):
             raise IndexError(f"edge id {e} out of range")
-    return ss
+    kept = [edge for e, edge in enumerate(g.edges) if e not in ss]
+    return len(ss) + 1 - len(set(_components(g.gamma, kept)))

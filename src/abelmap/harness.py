@@ -19,16 +19,15 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .abel import cross_check_naturality
+from .abel import _check_partitional, cross_check_naturality
 from .graph import CurveGraph, _components
-from .lattice import LISTING_LIMIT
+from .lattice import _check_listing
 
 BATCH_PER_WORKER = 128  # graphs handed to the process pool per worker at once
 
@@ -90,10 +89,7 @@ def connected_multigraphs(
     if max_gamma < 1 or max_edges < 0:
         raise ValueError("bounds must be positive")
     top = min(max_gamma, max_edges + 1)
-    if math.factorial(top) > LISTING_LIMIT:
-        raise ValueError(
-            f"gamma {top} has {math.factorial(top)} relabelings, over {LISTING_LIMIT}"
-        )
+    _check_listing(f"gamma {top}", "relabelings", ((k, 1) for k in range(2, top + 1)))
     for gamma in range(1, top + 1):
         slots = _slots(gamma, loops)
         labels = [f"C{i + 1}" for i in range(gamma)]
@@ -136,6 +132,8 @@ def run_harness(
         raise ValueError("max_degree must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    # the largest gamma always has a tree: refuse its over-limit degrees now
+    _check_partitional(min(max_gamma, max_edges + 1), max_degree)
     check = functools.partial(_failures, max_degree=max_degree)
     graphs_in = connected_multigraphs(max_gamma, max_edges)
     workers = min(jobs, os.cpu_count() or 1)

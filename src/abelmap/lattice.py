@@ -34,10 +34,33 @@ Divisor = tuple  # tuple[int, ...]
 Multidegree = tuple  # tuple[int, ...]
 
 LISTING_LIMIT = 10**6  # the most vectors or classes that one listing builds
+_SHOWN_LIMIT = 10**18  # a larger listing size is neither computed nor printed
 
 
 class LatticeSelfCheckError(RuntimeError):
     """Internal error: two independent computations of the lattice disagree."""
+
+
+class NotATwisterError(ValueError):
+    """t is not in the twister lattice; the message names its basis columns."""
+
+    def __init__(self, g: CurveGraph, t: Multidegree):
+        cols = "; ".join(str(col) for _, _, col, _ in _lattice(g))
+        super().__init__(f"{t} is not a twister multidegree (lattice basis columns: {cols})")
+
+
+def _check_listing(owner: str, items: str, factors: Iterable[tuple]) -> None:
+    """Raise ValueError "<owner> has <size> <items>, over LISTING_LIMIT" when a
+    listing is too long: the product of the fractions a / b in factors, each
+    running product a growing integer, not computed past _SHOWN_LIMIT."""
+    size = 1
+    for a, b in factors:
+        size = size * a // b
+        if size > _SHOWN_LIMIT:
+            break
+    if size > LISTING_LIMIT:
+        shown = size if size <= _SHOWN_LIMIT else f"more than {_SHOWN_LIMIT}"
+        raise ValueError(f"{owner} has {shown} {items}, over {LISTING_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -51,25 +74,15 @@ class DegreeClass:
 
     canonical: Multidegree
 
-    @property
-    def total(self) -> int:
-        return sum(self.canonical)
 
+@lru_cache(maxsize=1)
+def _lattice(g: CurveGraph) -> tuple:
+    """Column Hermite basis of the twister lattice, with its two build checks.
 
-@dataclass(frozen=True)
-class _LatticeData:
-    tree_count: int
-    # column Hermite basis of the twister lattice, in increasing pivot row
-    # order: (pivot row, pivot value, column, divisor with that multidegree)
-    basis: tuple
-
-
-@lru_cache(maxsize=None)
-def _lattice(g: CurveGraph) -> _LatticeData:
-    """Compute-once lattice data for a graph, with its two build checks.
-
-    lru_cache gives the once-only initialization; a racing first access may
-    duplicate the work but never publishes a half-built value.
+    In increasing pivot row order: (pivot row, pivot value, column, divisor
+    with that multidegree).  Only the last graph and its basis are kept: the
+    CLI works on one graph per process, and the harness finishes each graph
+    before the next.
     """
     m = g.pairing_matrix
     gamma = g.gamma
@@ -100,17 +113,17 @@ def _lattice(g: CurveGraph) -> _LatticeData:
         raise LatticeSelfCheckError(
             f"Hermite pivot product {order} != spanning-tree count {trees}"
         )
-    return _LatticeData(tree_count=trees, basis=tuple(basis))
+    return tuple(basis)
 
 
-def _reduce(data: _LatticeData, z: list) -> list:
+def _reduce(basis: tuple, z: list) -> list:
     """Floor-reduce z in place into the Hermite fundamental domain.
 
     Returns the quotient of each basis column.  A column is zero above its
     pivot row, so later columns never disturb earlier pivot rows.
     """
     quotients = []
-    for p, val, col, _ in data.basis:
+    for p, val, col, _ in basis:
         q = z[p] // val
         if q:
             for k in range(p, len(z)):
@@ -169,13 +182,13 @@ def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Optional[Divisor]:
     tv = _check_vector(g, t, "multidegree")
     if sum(tv) != 0:
         return None
-    data = _lattice(g)
+    basis = _lattice(g)
     residue = list(tv)
-    quotients = _reduce(data, residue)
+    quotients = _reduce(basis, residue)
     if any(residue):
         return None
     x = [0] * len(tv)
-    for q, (*_, pre) in zip(quotients, data.basis):
+    for q, (*_, pre) in zip(quotients, basis):
         x = [a + q * b for a, b in zip(x, pre)]
     out = normalize_divisor(x)
     if multidegree_of(g, out) != tv:
@@ -217,10 +230,10 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
 def class_group_order(g: CurveGraph) -> int:
     """Number of degree classes for any fixed total degree.
 
-    The spanning-tree count; the lattice build checks that it equals the
-    product of the Hermite pivots.
+    The product of the Hermite pivots; the lattice build checks that it
+    equals the spanning-tree count.
     """
-    return _lattice(g).tree_count
+    return math.prod(val for _, val, _, _ in _lattice(g))
 
 
 def enumerate_classes(g: CurveGraph, d: int) -> list[DegreeClass]:
@@ -232,15 +245,13 @@ def enumerate_classes(g: CurveGraph, d: int) -> list[DegreeClass]:
     degree d along the first coordinate.  More than LISTING_LIMIT classes
     raises ValueError instead of exhausting memory.
     """
-    data = _lattice(g)
-    if data.tree_count > LISTING_LIMIT:
-        raise ValueError(
-            f"the curve has {data.tree_count} degree classes, over {LISTING_LIMIT}"
-        )
+    basis = _lattice(g)
+    pivots = [val for _, val, _, _ in basis]
+    _check_listing("the curve", "degree classes", ((val, 1) for val in pivots))
     out = []
-    for residues in itertools.product(*(range(val) for _, val, _, _ in data.basis)):
+    for residues in itertools.product(*(range(val) for val in pivots)):
         z = [0] * g.gamma
-        for (p, *_), res in zip(data.basis, residues):
+        for (p, *_), res in zip(basis, residues):
             z[p] = res
         z[-1] = -sum(residues)
         z[0] += d

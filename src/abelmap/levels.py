@@ -29,18 +29,10 @@ from .graph import CurveGraph, NodeSet
 from .lattice import (
     Divisor,
     LatticeSelfCheckError,
-    Multidegree,
+    NotATwisterError,
     _check_vector,
     twister_divisor,
 )
-
-
-class NotATwisterError(ValueError):
-    """The multidegree t is not in the twister lattice of the graph."""
-
-    def __init__(self, graph: CurveGraph, t: Multidegree):
-        super().__init__(f"{t} is not a twister multidegree")
-        self.graph = graph
 
 
 @dataclass(frozen=True)
@@ -61,20 +53,6 @@ class LevelExpression:
             raise ValueError("empty level")
 
     @property
-    def base(self) -> frozenset:
-        """Subcurve at the lowest level (Z_0 when canonical)."""
-        return self.levels[0][1]
-
-    @property
-    def positive_levels(self) -> tuple:
-        return tuple((m, zs) for m, zs in self.levels if m > 0)
-
-    @property
-    def ell(self) -> int:
-        """Number of levels above the base."""
-        return len(self.levels) - 1
-
-    @property
     def is_canonical(self) -> bool:
         return self.levels[0][0] == 0
 
@@ -89,6 +67,15 @@ class LevelExpression:
             for i in zs:
                 out[i] = m
         return tuple(out)
+
+
+def _canonical_divisor(g: CurveGraph, t: Iterable[int]) -> Divisor:
+    # the normalized divisor of t; NotATwisterError outside the lattice
+    tv = _check_vector(g, t, "multidegree")
+    dv = twister_divisor(g, tv)
+    if dv is None:
+        raise NotATwisterError(g, tv)
+    return dv
 
 
 def level_expression(g: CurveGraph, d: Iterable[int]) -> LevelExpression:
@@ -109,10 +96,7 @@ def multidegree_levels(g: CurveGraph, t: Iterable[int]) -> LevelExpression:
     Z_0 is nonempty.  t = 0 yields the degenerate expression (whole curve
     at level 0).  Raises NotATwisterError when t is outside the lattice.
     """
-    tv = _check_vector(g, t, "multidegree")
-    dv = twister_divisor(g, tv)
-    if dv is None:
-        raise NotATwisterError(g, tv)
+    dv = _canonical_divisor(g, t)
     le = level_expression(g, dv)
     if not le.is_canonical:
         raise LatticeSelfCheckError(f"level expression of {dv} is not canonical")
@@ -133,11 +117,7 @@ def crossing_nodes(g: CurveGraph, d: Iterable[int]) -> NodeSet:
 
 def crossing_nodes_of_multidegree(g: CurveGraph, t: Iterable[int]) -> NodeSet:
     """Crossing set of the canonical divisor of t; empty for t = 0."""
-    tv = _check_vector(g, t, "multidegree")
-    dv = twister_divisor(g, tv)
-    if dv is None:
-        raise NotATwisterError(g, tv)
-    return crossing_nodes(g, dv)
+    return crossing_nodes(g, _canonical_divisor(g, t))
 
 
 def is_sum_of_tails(g: CurveGraph, d: Iterable[int]) -> bool:

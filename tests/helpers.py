@@ -91,8 +91,8 @@ def check_level_degree_bounds(g: CurveGraph, t) -> bool:
     le = multidegree_levels(g, tv)
     if le.is_degenerate:
         raise ValueError("t = 0 has no positive level")
-    m1 = le.positive_levels[0][0]
-    z0 = sorted(le.base)
+    m1 = le.levels[1][0]
+    z0 = sorted(le.levels[0][1])
     for size in range(1, len(z0) + 1):
         for ys in combinations(z0, size):
             bound = -m1 * pairing(g, ys, z0)

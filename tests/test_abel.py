@@ -245,6 +245,23 @@ def test_default_chooser_never_enumerates_classes(monkeypatch):
         choose_representatives(two_component(3), 1)
 
 
+def test_explicit_chooser_never_enumerates_classes(monkeypatch):
+    # validate_chooser compares the table's size with the class count
+    g, weak = two_component(3), two_component(2)
+    chooser = choose_representatives(g, 2)
+    weak_chooser = choose_representatives(weak, 2)
+
+    def refuse(*args):
+        raise AssertionError("enumerate_classes called")
+
+    monkeypatch.setattr(abel, "enumerate_classes", refuse)
+    assert is_natural(g, 2, chooser)
+    assert not is_natural(weak, 2, weak_chooser)
+    short = RepChooser(degree=2, table=dict(list(chooser.table.items())[:-1]))
+    with pytest.raises(InvalidChooserError, match="has 2 classes, the curve has 3"):
+        is_natural(g, 2, short)
+
+
 def test_no_natural_map_rejects_every_chooser():
     # two components, two edges, d = 2: no natural map; every valid chooser
     # with representatives in the [-4, 4] box must fail

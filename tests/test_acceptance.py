@@ -143,7 +143,7 @@ def test_criterion_06_canonical_level_suite(capsys):
                 le = multidegree_levels(g, t)
                 # (a) base level 0, nonempty Z_0, strictly increasing
                 # positive levels carried by disjoint nonempty subcurves
-                assert le.is_canonical and le.base
+                assert le.is_canonical and le.levels[0][1]
                 ms = [m for m, _ in le.levels]
                 assert ms[0] == 0 and ms == sorted(set(ms))
                 covered = set()

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -342,6 +343,8 @@ def test_is_natural_rejects_bad_reps_file(graph_file, capsys, tmp_path):
         ({"degree": 1, "reps": [[1, 0], 5]}, "representative 5 must be a list"),
         ({"degree": 1, "reps": [[True, 0], [0, 1]]}, "must be a list of integers"),
         ({"degree": 1, "reps": [[1, 0], [0, 1], [-1, 2]]}, "(1, 0) and (-1, 2)"),
+        ({"degree": True, "reps": [[1, 0], [0, 1]]}, '"degree" True must be an integer'),
+        ({"degree": 1.0, "reps": [[1, 0], [0, 1]]}, '"degree" 1.0 must be an integer'),
     ]:
         bad.write_text(json.dumps(payload))
         assert main(["is-natural", f2, "--degree", "1", "--reps", str(bad)]) == 2
@@ -392,6 +395,33 @@ def test_harness_refuses_gamma_ten(monkeypatch, capsys):
     argv = ["harness", "--max-gamma", "10", "--max-edges", "9", "--max-degree", "1"]
     assert main(argv) == 2
     assert "3628800 relabelings" in _one_line_error(capsys)
+
+
+def test_harness_refuses_an_over_limit_degree_before_the_sweep(monkeypatch, capsys):
+    # degree 100000 has binomial(100002, 2) partitional multidegrees at gamma 3
+    def guarded(g, d):
+        raise AssertionError(f"checked {g} at degree {d}")
+
+    monkeypatch.setattr(abelmap.harness, "cross_check_naturality", guarded)
+    argv = ["harness", "--max-gamma", "3", "--max-edges", "3", "--max-degree", "100000"]
+    assert main(argv) == 2
+    err = _one_line_error(capsys)
+    assert f"degree 100000 has {math.comb(100002, 2)} partitional" in err
+
+
+def test_refusals_compute_and_print_no_huge_integer(graph_file, capsys):
+    # 1000000! and binomial(102999, 2999) have thousands of digits
+    f = graph_file(serialize_graph(path(3000)))
+    harness = ["harness", "--max-gamma", "1000000", "--max-edges", "1000000"]
+    for argv, named in (
+        ([*harness, "--max-degree", "1"], "gamma 1000000 has more than"),
+        (["verify", f, "--degree", "100000"], "degree 100000 has more than"),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = _one_line_error(capsys)
+        assert named in err and err.endswith(", over 1000000\n"), err
 
 
 def test_harness_failures_report(monkeypatch, capsys):

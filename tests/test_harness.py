@@ -13,6 +13,7 @@ from abelmap import (
     cross_check_naturality,
     essential_connectivity,
     harness,
+    lattice,
 )
 from abelmap.harness import (
     _canonical_vectors,
@@ -119,6 +120,12 @@ def test_enumeration_refuses_relabeling_tables_that_cannot_be_built(monkeypatch)
     # eight nodes reach gamma = 9 (362880 relabelings): enumeration starts
     with pytest.raises(AssertionError, match="gamma = 1"):
         run_harness(10, 8, 1)
+
+
+def test_a_sweep_keeps_one_lattice():
+    result = run_harness(4, 6, 2)
+    assert result.ok and (result.graphs, result.checks) == (283, 566)
+    assert lattice._lattice.cache_info().currsize == 1
 
 
 def test_enumeration_contains_known_shapes():
