@@ -34,7 +34,6 @@ from .levels import (
 from .abel import (
     INFINITY,
     InvalidChooserError,
-    RepChooser,
     choose_representatives,
     cross_check_naturality,
     essential_connectivity,
@@ -42,7 +41,6 @@ from .abel import (
     is_natural,
     partitional_multidegrees,
     partitional_pairs_certified,
-    validate_chooser,
 )
 from .harness import HarnessResult, connected_multigraphs, run_harness
 
@@ -58,7 +56,6 @@ __all__ = [
     "LatticeSelfCheckError",
     "LevelExpression",
     "NotATwisterError",
-    "RepChooser",
     "betti",
     "choose_representatives",
     "class_group_order",
@@ -83,5 +80,4 @@ __all__ = [
     "run_harness",
     "twister_divisor",
     "twister_space_dim",
-    "validate_chooser",
 ]

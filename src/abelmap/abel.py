@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import CurveGraph
 from .lattice import (
@@ -42,7 +41,7 @@ INFINITY = math.inf
 
 
 class InvalidChooserError(ValueError):
-    """A representative table does not fit the graph and degree."""
+    """A representative choice does not fit the graph and degree."""
 
 
 def essential_connectivity(g: CurveGraph):
@@ -137,64 +136,56 @@ def _check_partitional(gamma: int, d: int) -> None:
     _check_listing(f"degree {d}", "partitional multidegrees", factors)
 
 
-@dataclass(frozen=True)
-class RepChooser:
-    """One representative per degree class, in enumerate_classes order."""
-
-    degree: int
-    table: dict  # dict[DegreeClass, Multidegree]
-
-
-def choose_representatives(g: CurveGraph, d: int) -> RepChooser:
-    """Partitional representative when the class has one, canonical otherwise.
-
-    The partitional choice is the lex-smallest partitional member, so the
-    chooser is deterministic.
+def choose_representatives(g: CurveGraph, d: int) -> dict:
+    """One representative per degree class, keyed by class in
+    enumerate_classes order: the lex-smallest partitional member when the
+    class has one, the canonical representative otherwise.  Deterministic.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     first: dict[DegreeClass, Multidegree] = {}
     for p in partitional_multidegrees(g.gamma, d):
         first.setdefault(multidegree_class(g, p), p)
-    table = {cls: first.get(cls, cls.canonical) for cls in enumerate_classes(g, d)}
-    return RepChooser(degree=d, table=table)
+    return {cls: first.get(cls, cls.canonical) for cls in enumerate_classes(g, d)}
 
 
-def validate_chooser(g: CurveGraph, d: int, chooser: RepChooser) -> None:
-    """Raise InvalidChooserError unless the chooser fits (g, d) exactly: each
-    key the class of its representative of total d, and as many keys as
-    classes (then they are every class)."""
-    if chooser.degree != d:
-        raise InvalidChooserError(f"chooser degree {chooser.degree} != {d}")
-    for cls, rep in chooser.table.items():
-        rv = _check_vector(g, rep, "representative")
-        if sum(rv) != d:
-            raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
-        if multidegree_class(g, rv) != cls:
-            raise InvalidChooserError(f"representative {rv} is not in its class")
-    order = class_group_order(g)
-    if len(chooser.table) != order:
-        raise InvalidChooserError(
-            f"chooser has {len(chooser.table)} classes, the curve has {order}"
-        )
-
-
-def is_natural(g: CurveGraph, d: int, chooser: Optional[RepChooser] = None) -> bool:
+def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     """Does this choice of representatives give a natural d-th Abel map?
 
     True when every partitional multidegree differs from its class's chosen
-    representative by a sum-of-tails multidegree.  The default chooser is
-    choose_representatives(g, d); only its partitional representatives are
-    ever looked up, so it starts empty and takes each class's first (lex-
-    smallest) partitional member; a validated table already has every class.
+    representative by a sum-of-tails multidegree.  reps holds one
+    multidegree of total d per degree class, in any order; InvalidChooserError
+    when two share a class or their count is not class_group_order (then
+    every class has one).  The default is choose_representatives(g, d); only
+    its partitional representatives are ever looked up, so the table starts
+    empty and takes each class's first (lex-smallest) partitional member.
+
+    >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
+    >>> reps = choose_representatives(g, 1).values()
+    >>> list(reps)
+    [(1, 0), (2, -1), (0, 1)]
+    >>> is_natural(g, 1, reps)
+    True
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if chooser is None:
-        table = {}
-    else:
-        validate_chooser(g, d, chooser)
-        table = chooser.table
+    table: dict[DegreeClass, Multidegree] = {}
+    if reps is not None:
+        for rep in reps:
+            rv = _check_vector(g, rep, "representative")
+            if sum(rv) != d:
+                raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
+            cls = multidegree_class(g, rv)
+            if cls in table:
+                raise InvalidChooserError(
+                    f"representatives {table[cls]} and {rv} share a class"
+                )
+            table[cls] = rv
+        order = class_group_order(g)
+        if len(table) != order:
+            raise InvalidChooserError(
+                f"the choice has {len(table)} classes, the curve has {order}"
+            )
     for p in partitional_multidegrees(g.gamma, d):
         rep = table.setdefault(multidegree_class(g, p), p)
         t = tuple(x - y for x, y in zip(p, rep))

@@ -242,14 +242,15 @@ def _sum_of_tails(g: CurveGraph, divisor: tuple) -> dict:
 
 @_Command("choose-reps", "pick class representatives", DEGREE)
 def _choose_reps(g: CurveGraph, degree: int) -> dict:
-    table = abel.choose_representatives(g, degree).table
+    table = abel.choose_representatives(g, degree)
     return {
         "degree": degree, "classes": [c.canonical for c in table],
         "reps": list(table.values()),
     }
 
 
-def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
+def _read_chooser(degree: int, path: str) -> list:
+    """The "reps" list of a reps file; is_natural checks it against the curve."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = _load_json(fh.read())
     if isinstance(payload, dict) and "outputs" in payload:
@@ -261,18 +262,10 @@ def _read_chooser(g: CurveGraph, degree: int, path: str) -> abel.RepChooser:
         raise ValueError(f'reps file "degree" {given!r} must be an integer')
     if given != degree:
         raise ValueError(f"reps file degree {given} does not match --degree {degree}")
-    table = {}
     for rep in payload["reps"]:
         if not (isinstance(rep, list) and all(type(x) is int for x in rep)):
             raise ValueError(f"representative {rep!r} must be a list of integers")
-        vec = tuple(rep)
-        if len(vec) != g.gamma:
-            raise ValueError(f"representative {vec} has wrong length")
-        cls = lattice.multidegree_class(g, vec)
-        if cls in table:
-            raise ValueError(f"representatives {table[cls]} and {vec} share a class")
-        table[cls] = vec
-    return abel.RepChooser(degree=degree, table=table)
+    return payload["reps"]
 
 
 REPS = _Option("--reps", PATH, False, absent="default",
@@ -282,8 +275,8 @@ REPS = _Option("--reps", PATH, False, absent="default",
 @_Command("is-natural", "does a representative choice work", (*DEGREE, REPS),
           predicate="natural")
 def _is_natural(g: CurveGraph, degree: int, reps: Optional[str]) -> dict:
-    chooser = None if reps is None else _read_chooser(g, degree, reps)
-    ok = abel.is_natural(g, degree, chooser)
+    chosen = None if reps is None else _read_chooser(degree, reps)
+    ok = abel.is_natural(g, degree, chosen)
     return {"degree": degree, "chooser": reps or "default", "natural": ok}
 
 

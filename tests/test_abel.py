@@ -12,7 +12,6 @@ from abelmap import (
     CurveGraph,
     abel,
     InvalidChooserError,
-    RepChooser,
     choose_representatives,
     cross_check_naturality,
     enumerate_classes,
@@ -23,7 +22,6 @@ from abelmap import (
     multidegree_class,
     partitional_multidegrees,
     partitional_pairs_certified,
-    validate_chooser,
 )
 from abelmap.harness import connected_multigraphs
 from helpers import (
@@ -170,7 +168,7 @@ def test_partitional_multidegrees_many_components():
 
 def _partitional_reps(g, d) -> dict:
     # class -> its chosen representative, when that one is partitional
-    table = choose_representatives(g, d).table
+    table = choose_representatives(g, d)
     return {cls: rep for cls, rep in table.items() if min(rep) >= 0}
 
 
@@ -193,30 +191,23 @@ def test_chooser_partitional_rep_is_lex_smallest():
 
 def test_choose_representatives():
     g = two_component(3)
-    chooser = choose_representatives(g, 1)
-    reps = list(chooser.table.values())
-    assert reps == [(1, 0), (2, -1), (0, 1)]
-    assert chooser == choose_representatives(g, 1)  # deterministic
-    validate_chooser(g, 1, chooser)
+    table = choose_representatives(g, 1)
+    assert list(table.values()) == [(1, 0), (2, -1), (0, 1)]
+    assert list(table) == enumerate_classes(g, 1)
+    assert all(multidegree_class(g, rep) == cls for cls, rep in table.items())
+    assert table == choose_representatives(g, 1)  # deterministic
 
 
-def test_validate_chooser_rejects():
-    g = two_component(3)
-    chooser = choose_representatives(g, 1)
-    with pytest.raises(InvalidChooserError):
-        validate_chooser(g, 2, chooser)
-    bad = RepChooser(degree=1, table=dict(list(chooser.table.items())[:-1]))
-    with pytest.raises(InvalidChooserError):
-        validate_chooser(g, 1, bad)
-    first = multidegree_class(g, (1, 0))
-    wrong = dict(chooser.table)
-    wrong[first] = (2, -1)  # total 1 but lies in a different class
-    assert multidegree_class(g, (2, -1)) != first
-    with pytest.raises(InvalidChooserError):
-        validate_chooser(g, 1, RepChooser(degree=1, table=wrong))
-    wrong[first] = (1, 1)  # wrong total
-    with pytest.raises(InvalidChooserError):
-        validate_chooser(g, 1, RepChooser(degree=1, table=wrong))
+def test_is_natural_rejects_a_bad_choice():
+    g = two_component(3)  # classes of (1, 0), (2, -1), (0, 1) at d = 1
+    for reps, error, message in [
+        ([(1, 0), (2, -1)], InvalidChooserError, "has 2 classes, the curve has 3"),
+        ([(1, 0), (4, -3), (0, 1)], InvalidChooserError, "share a class"),
+        ([(1, 0), (2, -1), (1, 1)], InvalidChooserError, "has total 2 != 1"),
+        ([(1, 0), (2, -1), (0, 1, 0)], ValueError, "has length 3, expected 2"),
+    ]:
+        with pytest.raises(error, match=message):
+            is_natural(g, 1, reps)
 
 
 def test_is_natural_matches_pairwise_condition():
@@ -226,11 +217,11 @@ def test_is_natural_matches_pairwise_condition():
 
 
 def test_default_chooser_matches_explicit_table():
-    # an explicit chooser runs the full-table path through validate_chooser
+    # explicit representatives are keyed and counted before the full-table path
     for g in connected_multigraphs(4, 5):
         for d in range(1, 4):
-            chooser = choose_representatives(g, d)
-            assert is_natural(g, d) == is_natural(g, d, chooser), (g, d)
+            reps = choose_representatives(g, d).values()
+            assert is_natural(g, d) == is_natural(g, d, reps), (g, d)
 
 
 def test_default_chooser_never_enumerates_classes(monkeypatch):
@@ -246,20 +237,20 @@ def test_default_chooser_never_enumerates_classes(monkeypatch):
 
 
 def test_explicit_chooser_never_enumerates_classes(monkeypatch):
-    # validate_chooser compares the table's size with the class count
+    # is_natural compares the number of classes keyed with the class count
     g, weak = two_component(3), two_component(2)
-    chooser = choose_representatives(g, 2)
-    weak_chooser = choose_representatives(weak, 2)
+    reps = list(choose_representatives(g, 2).values())
+    weak_reps = list(choose_representatives(weak, 2).values())
 
     def refuse(*args):
         raise AssertionError("enumerate_classes called")
 
     monkeypatch.setattr(abel, "enumerate_classes", refuse)
-    assert is_natural(g, 2, chooser)
-    assert not is_natural(weak, 2, weak_chooser)
-    short = RepChooser(degree=2, table=dict(list(chooser.table.items())[:-1]))
+    assert is_natural(g, 2, reps)
+    assert is_natural(g, 2, reversed(reps))  # any order, any iterable
+    assert not is_natural(weak, 2, weak_reps)
     with pytest.raises(InvalidChooserError, match="has 2 classes, the curve has 3"):
-        is_natural(g, 2, short)
+        is_natural(g, 2, reps[:-1])
 
 
 def test_no_natural_map_rejects_every_chooser():
@@ -279,8 +270,7 @@ def test_no_natural_map_rejects_every_chooser():
     }
     count = 0
     for picks in product(*(options[cls] for cls in classes)):
-        chooser = RepChooser(degree=d, table=dict(zip(classes, picks)))
-        assert not is_natural(g, d, chooser)
+        assert not is_natural(g, d, picks)
         count += 1
     assert count > 1
 

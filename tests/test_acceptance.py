@@ -227,7 +227,7 @@ def test_criterion_10_high_degree_partitional_reps(capsys):
             assert class_group_order(g) == delta
             for d in (delta, delta + 1):
                 # the chooser picks a partitional rep whenever a class has one
-                table = choose_representatives(g, d).table
+                table = choose_representatives(g, d)
                 assert len(table) == delta
                 for cls, rep in table.items():
                     assert sum(rep) == d and min(rep) >= 0, (delta, d, cls)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abelmap
-from abelmap import choose_representatives, cli
+from abelmap import choose_representatives, cli, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult
 from helpers import doubled_cycle, path
@@ -129,8 +129,8 @@ def test_cli_golden(case, tmp_path, monkeypatch, capsys):
         doc, a = GOLDEN_GRAPHS[graph]
         (tmp_path / "graph.json").write_text(json.dumps(doc))
         degree = int(a["degree"])
-        chooser = choose_representatives(parse_graph(json.dumps(doc)), degree)
-        reps = {"degree": degree, "reps": [list(r) for r in chooser.table.values()]}
+        table = choose_representatives(parse_graph(json.dumps(doc)), degree)
+        reps = {"degree": degree, "reps": [list(r) for r in table.values()]}
         (tmp_path / "reps.json").write_text(json.dumps(reps))
     code = main(argv)
     out = capsys.readouterr()
@@ -331,6 +331,26 @@ def test_choose_reps_feeds_is_natural(graph_file, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_is_natural_keys_each_representative_once(graph_file, capsys, tmp_path, monkeypatch):
+    # one class lookup per representative and one per partitional multidegree
+    f = graph_file(TWO_DELTA3)
+    assert main(["choose-reps", f, "--degree", "1", "--json"]) == 0
+    reps_file = tmp_path / "reps.json"
+    reps_file.write_text(capsys.readouterr().out)
+    calls = []
+
+    def counted(g, d):
+        calls.append(d)
+        return multidegree_class(g, d)
+
+    monkeypatch.setattr(abelmap.abel, "multidegree_class", counted)
+    monkeypatch.setattr(abelmap.lattice, "multidegree_class", counted)
+    assert main(["is-natural", f, "--degree", "1", "--reps", str(reps_file)]) == 0
+    assert "natural: true" in capsys.readouterr().out
+    assert len(calls) == 5, sorted(calls)
+    assert sorted(calls) == [(0, 1), (0, 1), (1, 0), (1, 0), (2, -1)]
+
+
 def test_is_natural_rejects_bad_reps_file(graph_file, capsys, tmp_path):
     f = graph_file(TWO_DELTA3)
     bad = tmp_path / "bad.json"
@@ -343,6 +363,7 @@ def test_is_natural_rejects_bad_reps_file(graph_file, capsys, tmp_path):
         ({"degree": 1, "reps": [[1, 0], 5]}, "representative 5 must be a list"),
         ({"degree": 1, "reps": [[True, 0], [0, 1]]}, "must be a list of integers"),
         ({"degree": 1, "reps": [[1, 0], [0, 1], [-1, 2]]}, "(1, 0) and (-1, 2)"),
+        ({"degree": 1, "reps": [[1, 0, 0], [0, 1]]}, "has length 3, expected 2"),
         ({"degree": True, "reps": [[1, 0], [0, 1]]}, '"degree" True must be an integer'),
         ({"degree": 1.0, "reps": [[1, 0], [0, 1]]}, '"degree" 1.0 must be an integer'),
     ]:
