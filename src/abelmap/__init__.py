@@ -10,7 +10,6 @@ on every small graph.
 
 from .graph import CurveGraph, DisconnectedCurveError, betti
 from .lattice import (
-    DegreeClass,
     LatticeSelfCheckError,
     NotATwisterError,
     class_group_order,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurveGraph",
-    "DegreeClass",
     "DisconnectedCurveError",
     "HarnessResult",
     "INFINITY",

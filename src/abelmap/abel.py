@@ -26,7 +26,6 @@ from typing import Iterable, Optional
 
 from .graph import CurveGraph
 from .lattice import (
-    DegreeClass,
     Multidegree,
     _check_listing,
     _check_vector,
@@ -137,16 +136,17 @@ def _check_partitional(gamma: int, d: int) -> None:
 
 
 def choose_representatives(g: CurveGraph, d: int) -> dict:
-    """One representative per degree class, keyed by class in
-    enumerate_classes order: the lex-smallest partitional member when the
-    class has one, the canonical representative otherwise.  Deterministic.
+    """One representative per degree class, keyed by the class's canonical
+    multidegree in enumerate_classes order: the lex-smallest partitional
+    member when the class has one, the canonical multidegree otherwise.
+    Deterministic.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    first: dict[DegreeClass, Multidegree] = {}
+    first: dict[Multidegree, Multidegree] = {}
     for p in partitional_multidegrees(g.gamma, d):
         first.setdefault(multidegree_class(g, p), p)
-    return {cls: first.get(cls, cls.canonical) for cls in enumerate_classes(g, d)}
+    return {c: first.get(c, c) for c in enumerate_classes(g, d)}
 
 
 def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
@@ -169,7 +169,7 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    table: dict[DegreeClass, Multidegree] = {}
+    table: dict[Multidegree, Multidegree] = {}
     if reps is not None:
         for rep in reps:
             rv = _check_vector(g, rep, "representative")

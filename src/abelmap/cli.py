@@ -195,7 +195,7 @@ def _natural_abel(g: CurveGraph, degree: int) -> dict:
 
 @_Command("classes", "canonical degree class representatives", DEGREE)
 def _classes(g: CurveGraph, degree: int) -> dict:
-    classes = [c.canonical for c in lattice.enumerate_classes(g, degree)]
+    classes = lattice.enumerate_classes(g, degree)
     return {"degree": degree, "count": len(classes), "classes": classes}
 
 
@@ -244,7 +244,7 @@ def _sum_of_tails(g: CurveGraph, divisor: tuple) -> dict:
 def _choose_reps(g: CurveGraph, degree: int) -> dict:
     table = abel.choose_representatives(g, degree)
     return {
-        "degree": degree, "classes": [c.canonical for c in table],
+        "degree": degree, "classes": list(table),
         "reps": list(table.values()),
     }
 

@@ -86,8 +86,10 @@ def connected_multigraphs(
     A connected graph on gamma vertices has at least gamma - 1 edges, so no
     gamma above max_edges + 1 is enumerated.  A largest gamma with more than
     LISTING_LIMIT relabelings raises ValueError before any is built."""
-    if max_gamma < 1 or max_edges < 0:
-        raise ValueError("bounds must be positive")
+    if max_gamma < 1:
+        raise ValueError("max_gamma must be >= 1")
+    if max_edges < 0:
+        raise ValueError("max_edges must be >= 0")
     top = min(max_gamma, max_edges + 1)
     _check_listing(f"gamma {top}", "relabelings", ((k, 1) for k in range(2, top + 1)))
     for gamma in range(1, top + 1):

@@ -10,10 +10,12 @@ finite-index sublattice of the degree-0 vectors.
 Two multidegrees of the same total degree are equivalent when their
 difference lies in the twister lattice; the classes of total degree d form a
 finite set whose size is independent of d and equals the number of spanning
-trees of the dual graph.  Every query reduces against one Hermite basis of
-the twister lattice, checked when it is built: each basis column must be
-the multidegree of its stored preimage, and the pivot product must equal
-the Matrix-Tree spanning-tree count, so the basis spans the whole lattice.
+trees of the dual graph.  A class is its canonical representative, a plain
+multidegree (defined at multidegree_class).  Every query reduces against
+one Hermite basis of the twister lattice, checked when it is built: each
+basis column must be the multidegree of its stored preimage, and the pivot
+product must equal the Matrix-Tree spanning-tree count, so the basis spans
+the whole lattice.
 
 All arithmetic is exact on Python ints.  Divisors and multidegrees are
 plain tuples of ints of length gamma.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -61,18 +62,6 @@ def _check_listing(owner: str, items: str, factors: Iterable[tuple]) -> None:
     if size > LISTING_LIMIT:
         shown = size if size <= _SHOWN_LIMIT else f"more than {_SHOWN_LIMIT}"
         raise ValueError(f"{owner} has {shown} {items}, over {LISTING_LIMIT}")
-
-
-@dataclass(frozen=True)
-class DegreeClass:
-    """An equivalence class of multidegrees, keyed by its canonical rep.
-
-    The canonical representative is the unique member whose degree-0 shift
-    lies in the Hermite fundamental domain of the twister lattice, shifted
-    back to the class's total degree along the first coordinate.
-    """
-
-    canonical: Multidegree
 
 
 @lru_cache(maxsize=1)
@@ -212,19 +201,19 @@ def equivalent(g: CurveGraph, d1: Iterable[int], d2: Iterable[int]) -> bool:
     return not any(z)
 
 
-def multidegree_class(g: CurveGraph, t: Iterable[int]) -> DegreeClass:
-    """The degree class of t, keyed by its canonical representative.
+def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
+    """The degree class of t, given as its canonical representative.
 
-    The canonical rep is found by shifting t to total degree 0 along the
-    first coordinate, reducing to the Hermite fundamental domain, and
-    shifting back.
+    The canonical representative is the one member of the class found by
+    shifting t to total degree 0 along the first coordinate, reducing it into
+    the Hermite fundamental domain of the twister lattice, and shifting back.
     """
     z = list(_check_vector(g, t, "multidegree"))
     d = sum(z)
     z[0] -= d
     _reduce(_lattice(g), z)
     z[0] += d
-    return DegreeClass(canonical=tuple(z))
+    return tuple(z)
 
 
 def class_group_order(g: CurveGraph) -> int:
@@ -236,8 +225,9 @@ def class_group_order(g: CurveGraph) -> int:
     return math.prod(val for _, val, _, _ in _lattice(g))
 
 
-def enumerate_classes(g: CurveGraph, d: int) -> list[DegreeClass]:
-    """All degree classes of total degree d, in a deterministic order.
+def enumerate_classes(g: CurveGraph, d: int) -> list[Multidegree]:
+    """The canonical representatives (see multidegree_class) of all degree
+    classes of total degree d, in a deterministic order.
 
     Walks the Hermite fundamental domain: pivot rows range over their
     residues, the last row (never a pivot row: every column sums to zero)
@@ -255,5 +245,5 @@ def enumerate_classes(g: CurveGraph, d: int) -> list[DegreeClass]:
             z[p] = res
         z[-1] = -sum(residues)
         z[0] += d
-        out.append(DegreeClass(canonical=tuple(z)))
+        out.append(tuple(z))
     return out

@@ -192,6 +192,8 @@ def test_chooser_partitional_rep_is_lex_smallest():
 def test_choose_representatives():
     g = two_component(3)
     table = choose_representatives(g, 1)
+    # the class of (2, -1) has no partitional member: it represents itself
+    assert table == {(1, 0): (1, 0), (2, -1): (2, -1), (3, -2): (0, 1)}
     assert list(table.values()) == [(1, 0), (2, -1), (0, 1)]
     assert list(table) == enumerate_classes(g, 1)
     assert all(multidegree_class(g, rep) == cls for cls, rep in table.items())

@@ -169,10 +169,14 @@ def test_run_harness_parallel_matches_serial():
 
 
 def test_run_harness_validates_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_gamma must be >= 1"):
         run_harness(0, 3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_edges must be >= 0"):
+        run_harness(2, -1, 1)
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
         run_harness(2, 2, 0)
+    res = run_harness(1, 0, 1)  # no edge is a valid bound: the lone vertex
+    assert (res.graphs, res.checks, res.failures) == (1, 1, ())
 
 
 def test_run_harness_builds_each_graph_once(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import abelmap
@@ -15,6 +16,24 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         asserts = [n for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         found += [f"{path.name}:{n.lineno}" for n in asserts]
+    assert found == []
+
+
+def test_imports_only_the_standard_library():
+    # the package has no runtime dependencies, though the tests install some
+    found = []
+    for path in sorted(Path(abelmap.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                names = [n.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{n.lineno} {name}" for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []
 
 
