@@ -21,13 +21,10 @@ from .lattice import (
     twister_divisor,
 )
 from .levels import (
-    LevelExpression,
     crossing_nodes,
     crossing_nodes_of_multidegree,
     is_sum_of_tails,
     is_sum_of_tails_multidegree,
-    level_expression,
-    multidegree_levels,
     twister_space_dim,
 )
 from .abel import (
@@ -52,7 +49,6 @@ __all__ = [
     "INFINITY",
     "InvalidChooserError",
     "LatticeSelfCheckError",
-    "LevelExpression",
     "NotATwisterError",
     "betti",
     "choose_representatives",
@@ -68,9 +64,7 @@ __all__ = [
     "is_natural",
     "is_sum_of_tails",
     "is_sum_of_tails_multidegree",
-    "level_expression",
     "multidegree_class",
-    "multidegree_levels",
     "multidegree_of",
     "normalize_divisor",
     "partitional_multidegrees",

@@ -13,6 +13,7 @@ predicate commands), 1 predicate false or harness failures, 2 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -207,12 +208,12 @@ def _equiv(g: CurveGraph, d1: tuple, d2: tuple) -> dict:
 
 @_Command("canonical-rep", "canonical level expression of t", T)
 def _canonical_rep(g: CurveGraph, t: tuple) -> dict:
-    le = levels.multidegree_levels(g, t)
-    rows = [[m, sorted(g.components[i] for i in zs)] for m, zs in le.levels]
-    return {
-        "t": t, "divisor": le.as_divisor(g.gamma),
-        "degenerate": le.is_degenerate, "levels": rows,
-    }
+    dv = lattice.twister_divisor(g, t)
+    rows = [
+        [m, sorted(c for c, x in zip(g.components, dv) if x == m)]
+        for m in sorted(set(dv))
+    ]
+    return {"t": t, "divisor": dv, "degenerate": not any(dv), "levels": rows}
 
 
 @_Command("s-set", "crossing nodes of a multidegree or divisor",
@@ -354,6 +355,7 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
     return 0 if cmd.predicate is None or outputs[cmd.predicate] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelmap",

@@ -17,6 +17,11 @@ basis column must be the multidegree of its stored preimage, and the pivot
 product must equal the Matrix-Tree spanning-tree count, so the basis spans
 the whole lattice.
 
+A twister multidegree t is the multidegree of one divisor modulo X;
+twister_divisor returns it normalized to minimum coefficient 0 (the
+canonical divisor of t), and raises NotATwisterError for any t outside the
+lattice.  The level expression of t is read off that divisor.
+
 All arithmetic is exact on Python ints.  Divisors and multidegrees are
 plain tuples of ints of length gamma.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graph import CurveGraph
 from .intlinalg import det_bareiss, row_hnf
@@ -43,11 +48,13 @@ class LatticeSelfCheckError(RuntimeError):
 
 
 class NotATwisterError(ValueError):
-    """t is not in the twister lattice; the message names its basis columns."""
+    """t is not in the twister lattice; the message names its basis columns,
+    or says that the lattice is zero (a curve with one component)."""
 
     def __init__(self, g: CurveGraph, t: Multidegree):
         cols = "; ".join(str(col) for _, _, col, _ in _lattice(g))
-        super().__init__(f"{t} is not a twister multidegree (lattice basis columns: {cols})")
+        where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
+        super().__init__(f"{t} is not a twister multidegree ({where})")
 
 
 def _check_listing(owner: str, items: str, factors: Iterable[tuple]) -> None:
@@ -161,21 +168,23 @@ def normalize_divisor(d: Iterable[int]) -> Divisor:
     return tuple(x - lo for x in dv)
 
 
-def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Optional[Divisor]:
-    """The normalized divisor with multidegree t, or None if t is not one.
+def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Divisor:
+    """The normalized divisor with multidegree t.
 
     t is in the twister lattice when its Hermite reduction leaves zero; the
     quotients then weight the basis preimages.  Unique modulo X, returned
-    with minimum coefficient 0, and its multidegree is checked to be t.
+    with minimum coefficient 0, and its multidegree is checked to be t.  It
+    is the canonical divisor of t, and the level expression of t is read
+    off it: level m is the set of components with coefficient m.  Raises
+    NotATwisterError when t is outside the lattice; every column sums to
+    zero, so a nonzero total always leaves a residue.
     """
     tv = _check_vector(g, t, "multidegree")
-    if sum(tv) != 0:
-        return None
     basis = _lattice(g)
     residue = list(tv)
     quotients = _reduce(basis, residue)
     if any(residue):
-        return None
+        raise NotATwisterError(g, tv)
     x = [0] * len(tv)
     for q, (*_, pre) in zip(quotients, basis):
         x = [a + q * b for a, b in zip(x, pre)]

@@ -12,8 +12,8 @@ from abelmap import (
     DisconnectedCurveError,
     NotATwisterError,
     crossing_nodes_of_multidegree,
-    multidegree_levels,
     normalize_divisor,
+    twister_divisor,
 )
 
 
@@ -80,19 +80,21 @@ def cut_edges(g: CurveGraph, z) -> frozenset:
 
 
 def check_level_degree_bounds(g: CurveGraph, t) -> bool:
-    """Lower bounds forced on t by its canonical expression.
+    """Lower bounds forced on t by its level expression.
 
-    For every nonempty Y inside the base Z_0 the total of t on Y is at
-    least -m_1 (Y . Z_0) which is itself nonnegative, and for Y = Z_0 the
-    total is at least m_1 k_{Z_0} > 0.  Must hold for every nonzero twister
-    multidegree.  Raises on t = 0 or t outside the lattice.
+    The base Z_0 is where the canonical divisor of t is 0, and m_1 is its
+    smallest positive coefficient.  For every nonempty Y inside Z_0 the
+    total of t on Y is at least -m_1 (Y . Z_0) which is itself nonnegative,
+    and for Y = Z_0 the total is at least m_1 k_{Z_0} > 0.  Must hold for
+    every nonzero twister multidegree.  Raises on t = 0 or t outside the
+    lattice.
     """
     tv = tuple(t)
-    le = multidegree_levels(g, tv)
-    if le.is_degenerate:
+    dv = twister_divisor(g, tv)
+    if not any(dv):
         raise ValueError("t = 0 has no positive level")
-    m1 = le.levels[1][0]
-    z0 = sorted(le.levels[0][1])
+    m1 = min(x for x in dv if x)
+    z0 = [i for i, x in enumerate(dv) if x == 0]
     for size in range(1, len(z0) + 1):
         for ys in combinations(z0, size):
             bound = -m1 * pairing(g, ys, z0)

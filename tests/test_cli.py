@@ -285,6 +285,18 @@ def test_canonical_rep_domain_error_shows_basis(graph_file, capsys):
     assert "basis" in err
 
 
+def test_not_a_twister_on_one_component_names_the_zero_lattice(graph_file, capsys):
+    f = graph_file({"components": ["A"], "nodes": [["A", "A"]]})
+    assert main(["canonical-rep", f, "--t", "1"]) == 2
+    assert _one_line_error(capsys) == (
+        "error: (1,) is not a twister multidegree (the twister lattice is zero)\n"
+    )
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_s_set_command(graph_file, capsys):
     f = graph_file(PATH3)
     assert main(["s-set", f, "--t", "0,1,-1", "--json"]) == 0

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import abelmap
+from abelmap import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +32,10 @@ def test_readme_library_block():
     runner = doctest.DocTestRunner()
     runner.run(test)
     assert runner.tries > 0 and runner.failures == 0
+
+
+def test_readme_command_table_lists_every_command():
+    text = README.read_text(encoding="utf-8")
+    (table,) = re.findall(r"\| command \| what it does \|\n\| --- \| --- \|\n((?:\|.*\n)+)", text)
+    listed = re.findall(r"^\| `([a-z-]+)", table, re.M)
+    assert listed == [c.name for c in cli.COMMANDS]

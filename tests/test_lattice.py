@@ -20,6 +20,7 @@ import abelmap
 from abelmap import (
     CurveGraph,
     LatticeSelfCheckError,
+    NotATwisterError,
     class_group_order,
     enumerate_classes,
     equivalent,
@@ -87,10 +88,12 @@ def test_normalize_divisor():
 def test_twister_divisor_examples():
     g = two_component(3)
     assert twister_divisor(g, (3, -3)) == (0, 1)
-    assert twister_divisor(g, (1, -1)) is None
+    with pytest.raises(NotATwisterError, match=r"basis columns: \(3, -3\)"):
+        twister_divisor(g, (1, -1))
     assert twister_divisor(two_component(1), (1, -1)) == (0, 1)
     # nonzero total degree is never in the lattice
-    assert twister_divisor(g, (1, 0)) is None
+    with pytest.raises(NotATwisterError, match=r"basis columns: \(3, -3\)"):
+        twister_divisor(g, (1, 0))
     with pytest.raises(ValueError):
         twister_divisor(g, (1, 2, 3))
 
@@ -218,13 +221,17 @@ def test_order_cross_check_over_enumeration():
 
 def test_equivalent_matches_twister_membership_oracle():
     # the membership test equivalent used to make: build the twister divisor
-    # of the difference and ask whether there is one
+    # of the difference, which raises exactly when there is none
     for g in connected_multigraphs(4, 5):
         box = product(range(-1, 2), repeat=g.gamma)
         for a, b in combinations(box, 2):
             if sum(a) == sum(b):
                 diff = tuple(x - y for x, y in zip(a, b))
-                assert equivalent(g, a, b) == (twister_divisor(g, diff) is not None)
+                if equivalent(g, a, b):
+                    assert multidegree_of(g, twister_divisor(g, diff)) == diff
+                else:
+                    with pytest.raises(NotATwisterError, match=r"lattice basis columns: \("):
+                        twister_divisor(g, diff)
 
 
 def _corrupt_hnf(mat):

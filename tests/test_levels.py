@@ -15,8 +15,6 @@ from abelmap import (
     crossing_nodes_of_multidegree,
     is_sum_of_tails,
     is_sum_of_tails_multidegree,
-    level_expression,
-    multidegree_levels,
     multidegree_of,
     normalize_divisor,
     twister_divisor,
@@ -38,71 +36,49 @@ from helpers import (
 )
 
 
-def test_level_expression_groups_by_coefficient():
-    g = cycle(3)
-    le = level_expression(g, (3, 1, 2))
-    assert le.levels == (
-        (1, frozenset({1})),
-        (2, frozenset({2})),
-        (3, frozenset({0})),
-    )
-    assert not le.is_canonical
-    assert le.as_divisor(3) == (3, 1, 2)
+# The level expression of t is read off its canonical divisor: level m is
+# the set of components with coefficient m.
 
 
 def test_multidegree_levels_two_components():
-    g = two_component(3)
-    le = multidegree_levels(g, (3, -3))
-    assert le.levels == ((0, frozenset({0})), (1, frozenset({1})))
-    assert le.is_canonical and not le.is_degenerate
+    # C1 at level 0, C2 at level 1
+    assert twister_divisor(two_component(3), (3, -3)) == (0, 1)
 
 
 def test_multidegree_levels_three_cycle():
-    # t = deg of the first component; its normalized divisor is (1,0,0),
-    # so the base is {C2,C3} and level 1 carries {C1}
-    le = multidegree_levels(cycle(3), (-2, 1, 1))
-    assert le.levels == ((0, frozenset({1, 2})), (1, frozenset({0})))
+    # t = deg of the first component: the base is {C2,C3} and level 1
+    # carries {C1}
+    assert twister_divisor(cycle(3), (-2, 1, 1)) == (1, 0, 0)
 
 
 def test_multidegree_levels_degenerate_zero():
-    g = path(3)
-    le = multidegree_levels(g, (0, 0, 0))
-    assert le.is_degenerate
-    assert le.levels == ((0, frozenset({0, 1, 2})),)
+    # the whole curve at level 0
+    assert twister_divisor(path(3), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_multidegree_levels_rejects_non_members():
     with pytest.raises(NotATwisterError, match=r"basis columns: \(3, -3\)") as info:
-        multidegree_levels(two_component(3), (1, -1))
+        twister_divisor(two_component(3), (1, -1))
     assert not hasattr(info.value, "graph")
-    with pytest.raises(NotATwisterError):
-        multidegree_levels(two_component(3), (1, 0))
+    with pytest.raises(NotATwisterError, match=r"basis columns: \(3, -3\)"):
+        twister_divisor(two_component(3), (1, 0))
 
 
 def test_canonical_level_conditions_sweep():
+    # base level 0 on a nonempty Z_0, and the levels reassemble to t
     for g in connected_multigraphs(3, 4):
         for dv in product(range(-3, 4), repeat=g.gamma):
             t = multidegree_of(g, dv)
-            le = multidegree_levels(g, t)
-            assert le.is_canonical
-            assert le.levels[0][1]
-            ms = [m for m, _ in le.levels]
-            assert ms == sorted(set(ms))
-            total = set()
-            for _, zs in le.levels:
-                assert zs and not (zs & total)
-                total |= zs
-            assert total == set(range(g.gamma))
-            assert multidegree_of(g, le.as_divisor(g.gamma)) == t
+            canonical = twister_divisor(g, t)
+            assert min(canonical) == 0
+            assert multidegree_of(g, canonical) == t
 
 
 def test_level_expression_same_for_every_preimage():
     for g in [two_component(3), cycle(3), star(3)]:
         for dv in product(range(-2, 3), repeat=g.gamma):
             t = multidegree_of(g, dv)
-            assert multidegree_levels(g, t) == level_expression(
-                g, normalize_divisor(dv)
-            )
+            assert twister_divisor(g, t) == normalize_divisor(dv)
 
 
 def test_check_level_degree_bounds_examples():
