@@ -36,7 +36,6 @@ from .abel import (
     has_natural_abel_map,
     is_natural,
     partitional_multidegrees,
-    partitional_pairs_certified,
 )
 from .harness import HarnessResult, connected_multigraphs, run_harness
 
@@ -68,7 +67,6 @@ __all__ = [
     "multidegree_of",
     "normalize_divisor",
     "partitional_multidegrees",
-    "partitional_pairs_certified",
     "run_harness",
     "twister_divisor",
     "twister_space_dim",

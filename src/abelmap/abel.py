@@ -8,9 +8,12 @@ compact type, two components meeting in one node).
 
 The decision implemented here: a natural d-th Abel map exists if and only
 if the essential connectivity exceeds d.  The package also carries an
-independent brute-force route: over all partitional multidegrees of total
-degree d (nonnegative entries), every equivalent pair must differ by a
-sum-of-tails multidegree, one whose total on every piece is 0.
+independent brute-force route: every partitional multidegree of total
+degree d (nonnegative entries) must differ from the first partitional
+member of its degree class by a sum-of-tails multidegree, one whose total
+on every piece is 0 (is_natural with the default choice).  That is one
+class lookup per partitional multidegree; is_natural's docstring says why
+it decides the same as testing every equivalent pair.
 cross_check_naturality compares the two routes and is the backbone of the
 enumeration harness.  Both routes read one pieces labelling of the curve
 (CurveGraph.pieces): epsilon is a Stoer-Wagner minimum cut between pieces,
@@ -160,6 +163,15 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     its partitional representatives are ever looked up, so the table starts
     empty and takes each class's first (lex-smallest) partitional member.
 
+    With the default choice this decides the brute-force side of the
+    criterion: does every equivalent pair p, q of partitional multidegrees
+    differ by a sum of tails?  Sum-of-tails multidegrees form a subgroup, so when each
+    partitional multidegree differs from its class's first member r by one,
+    so does p - q = (p - r) - (q - r); and r is itself partitional, so the
+    converse is one of the pairs.  For P partitional multidegrees that is P
+    class lookups instead of the O(P^2) pair tests of
+    partitional_pairs_certified.
+
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
     >>> list(reps)
@@ -195,11 +207,13 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
 
 
 def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
-    """Brute-force side of the criterion.
+    """The O(P^2) pair form of is_natural(g, d), kept as a test oracle.
 
     Every pair of equivalent partitional multidegrees must differ by a
     sum-of-tails multidegree.  Unordered pairs suffice: a vector's piece
-    totals vanish exactly when those of its negative do.
+    totals vanish exactly when those of its negative do.  No library code
+    calls it.  It stays in this module, calling lattice.equivalent, because
+    the abelbench tracer self-test counts its equivalent calls.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -215,9 +229,11 @@ def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
 
 
 def cross_check_naturality(g: CurveGraph, d: int) -> bool:
-    """Compare the brute-force pair check with the connectivity criterion.
+    """Compare the brute-force route with the connectivity criterion.
 
+    The brute-force route is is_natural(g, d): per-class sum-of-tails tests
+    on the twister lattice.  The criterion is a minimum cut of the pieces.
     Returns True when the two independent routes agree; the enumeration
     harness demands True on every instance.
     """
-    return partitional_pairs_certified(g, d) == has_natural_abel_map(g, d)
+    return is_natural(g, d) == has_natural_abel_map(g, d)

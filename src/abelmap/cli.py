@@ -283,7 +283,7 @@ def _is_natural(g: CurveGraph, degree: int, reps: Optional[str]) -> dict:
 
 @_Command("verify", "brute-force check against the criterion", DEGREE, predicate="agree")
 def _verify(g: CurveGraph, degree: int) -> dict:
-    certified = abel.partitional_pairs_certified(g, degree)
+    certified = abel.is_natural(g, degree)
     criterion = abel.has_natural_abel_map(g, degree)
     return {
         "degree": degree, "pairwise_certified": certified,

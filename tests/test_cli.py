@@ -18,9 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abelmap
-from abelmap import choose_representatives, cli, multidegree_class
+from abelmap import CurveGraph, choose_representatives, cli, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
-from abelmap.harness import HarnessResult
+from abelmap.harness import HarnessResult, run_harness
 from helpers import doubled_cycle, path
 
 TWO_DELTA3 = {
@@ -391,6 +391,27 @@ def test_verify_command(graph_file, capsys):
     assert out["outputs"]["pairwise_certified"] is False
     assert out["outputs"]["epsilon_criterion"] is False
     assert out["outputs"]["agree"] is True
+
+
+def test_verify_and_harness_make_no_pair_test(graph_file, capsys, monkeypatch):
+    # one class lookup per partitional multidegree, and no pairwise equivalent
+    def guarded(g, d1, d2):
+        raise AssertionError(f"tested the pair {d1}, {d2}")
+
+    calls = []
+
+    def counted(g, d):
+        calls.append(d)
+        return multidegree_class(g, d)
+
+    monkeypatch.setattr(abelmap.abel, "equivalent", guarded)
+    monkeypatch.setattr(abelmap.abel, "multidegree_class", counted)
+    k6 = CurveGraph([f"C{i}" for i in range(6)],
+                    [(i, j) for i in range(6) for j in range(i + 1, 6) for _ in range(2)])
+    assert main(["verify", graph_file(serialize_graph(k6)), "--degree", "7", "--json"]) == 0
+    assert _json_out(capsys)["outputs"]["pairwise_certified"] is True
+    assert len(calls) == math.comb(7 + 6 - 1, 6 - 1)
+    assert run_harness(4, 5, 3).ok
 
 
 def test_harness_command(capsys):
