@@ -338,6 +338,8 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
     for opt in cmd.options:
         dest = opt.flag[2:].replace("-", "_")
         value = getattr(args, dest)
+        if value == []:  # argparse before 3.13 reads "--flag=--" as an empty list
+            raise ValueError(f"{opt.flag} needs a value")
         if opt.kind == VECTOR and value is not None:
             value = _parse_vector(value, g.gamma, opt.flag)
         values[dest] = value

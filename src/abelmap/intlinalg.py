@@ -4,11 +4,12 @@ Everything here works on plain Python ints, so intermediate entries may grow
 without overflow.  Matrices are lists (or tuples) of equal-length rows.
 
 Provided:
-  row_hnf        row-style Hermite normal form with its unimodular transform
+  row_hnf        Hermite normal form of a nonsingular square matrix, with
+                 its unimodular transform
   det_bareiss    exact determinant by fraction-free elimination
 
-The lattice module reads the class-group order off the Hermite pivots as
-their product, and checks it against a Matrix-Tree determinant.
+The lattice module reads the class-group order off the Hermite pivots of
+one square matrix and checks it against the determinant of that matrix.
 """
 
 from __future__ import annotations
@@ -25,30 +26,26 @@ def _sub_scaled(target: list[int], source: list[int], q: int) -> None:
 
 
 def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form of an integer matrix, with transform.
+    """Row Hermite normal form of a nonsingular square matrix, with transform.
 
-    Returns (H, U) where U is unimodular, U @ mat == H, and H is in row
-    echelon Hermite form: each pivot is positive, entries above a pivot lie
-    in [0, pivot), entries below are zero, zero rows come last.
+    Returns (H, U) where U is unimodular, U @ mat == H, and H is upper
+    triangular: each diagonal pivot is positive and the entries above it lie
+    in [0, pivot).  Raises ValueError when mat is singular.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
+    n = len(mat)
     H = [list(row) for row in mat]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    r = 0
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
     for c in range(n):
-        if r == m:
-            break
-        if not any(H[i][c] for i in range(r, m)):
-            continue
-        # Euclid on column c over rows r..m-1 until a single nonzero survives.
+        # Euclid on column c over rows c..n-1 until a single nonzero survives.
         while True:
             best = None
-            for i in range(r, m):
+            for i in range(c, n):
                 if H[i][c] and (best is None or abs(H[i][c]) < abs(H[best][c])):
                     best = i
+            if best is None:
+                raise ValueError("row_hnf needs a nonsingular matrix")
             reduced = True
-            for i in range(r, m):
+            for i in range(c, n):
                 if i != best and H[i][c]:
                     q = H[i][c] // H[best][c]
                     if q:
@@ -58,19 +55,18 @@ def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
                         reduced = False
             if reduced:
                 break
-        if best != r:
-            H[r], H[best] = H[best], H[r]
-            U[r], U[best] = U[best], U[r]
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+        if best != c:
+            H[c], H[best] = H[best], H[c]
+            U[c], U[best] = U[best], U[c]
+        if H[c][c] < 0:
+            H[c] = [-x for x in H[c]]
+            U[c] = [-x for x in U[c]]
         # entries above the pivot reduced into [0, pivot)
-        for i in range(r):
-            q = H[i][c] // H[r][c]
+        for i in range(c):
+            q = H[i][c] // H[c][c]
             if q:
-                _sub_scaled(H[i], H[r], q)
-                _sub_scaled(U[i], U[r], q)
-        r += 1
+                _sub_scaled(H[i], H[c], q)
+                _sub_scaled(U[i], U[c], q)
     return H, U
 
 

@@ -12,10 +12,11 @@ difference lies in the twister lattice; the classes of total degree d form a
 finite set whose size is independent of d and equals the number of spanning
 trees of the dual graph.  A class is its canonical representative, a plain
 multidegree (defined at multidegree_class).  Every query reduces against
-one Hermite basis of the twister lattice, checked when it is built: each
-basis column must be the multidegree of its stored preimage, and the pivot
-product must equal the Matrix-Tree spanning-tree count, so the basis spans
-the whole lattice.
+one Hermite basis of the twister lattice, the Hermite form of one square
+matrix: the pairing matrix without its last row and column (see _lattice).
+It is checked when it is built: each basis column must be the multidegree
+of its stored divisor, and the pivot product must equal the Matrix-Tree
+spanning-tree count, so the basis spans the whole lattice.
 
 A twister multidegree t is the multidegree of one divisor modulo X;
 twister_divisor returns it normalized to minimum coefficient 0 (the
@@ -52,7 +53,7 @@ class NotATwisterError(ValueError):
     or says that the lattice is zero (a curve with one component)."""
 
     def __init__(self, g: CurveGraph, t: Multidegree):
-        cols = "; ".join(str(col) for _, _, col, _ in _lattice(g))
+        cols = "; ".join(str(col) for _, col, _ in _lattice(g))
         where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
         super().__init__(f"{t} is not a twister multidegree ({where})")
 
@@ -75,51 +76,46 @@ def _check_listing(owner: str, items: str, factors: Iterable[tuple]) -> None:
 def _lattice(g: CurveGraph) -> tuple:
     """Column Hermite basis of the twister lattice, with its two build checks.
 
-    In increasing pivot row order: (pivot row, pivot value, column, divisor
-    with that multidegree).  Only the last graph and its basis are kept: the
-    CLI works on one graph per process, and the harness finishes each graph
-    before the next.
+    Lattice vectors sum to zero, so their first gamma - 1 entries fix them;
+    there the lattice is the column span of M', the pairing matrix without
+    its last row and column (its last column is minus the sum of the
+    others).  M' is symmetric and nonsingular, so in H = U * M' row r is M'
+    applied to row r of U.  Record r is (pivot value, column, divisor): the
+    column is row r of H extended by the balancing entry -sum(row), with its
+    pivot in row r, and the divisor is row r of U extended by 0.  Only the
+    last graph and its basis are kept: the CLI works on one graph per
+    process, and the harness finishes each graph before the next.
     """
-    m = g.pairing_matrix
-    gamma = g.gamma
-    # Row-reduce the transpose: H = U * M^T, so M * U^T = H^T gives a column
-    # Hermite basis of the column span (the twister lattice) together with
-    # preimages: column r of H^T equals M applied to row r of U.
-    h, u = row_hnf([list(row) for row in zip(*m)])
-    basis = []
-    for col, pre in zip(h, u):
-        p = next((c for c, x in enumerate(col) if x), None)
-        if p is not None:
-            basis.append((p, col[p], tuple(col), tuple(pre)))
-    if len(basis) != gamma - 1:
-        raise LatticeSelfCheckError(
-            f"pairing matrix rank {len(basis)} != gamma - 1 = {gamma - 1}"
-        )
-    for _, _, col, pre in basis:
+    minor = [list(row[:-1]) for row in g.pairing_matrix[:-1]]
+    h, u = row_hnf(minor)
+    basis = tuple(
+        (row[r], (*row, -sum(row)), (*pre, 0)) for r, (row, pre) in enumerate(zip(h, u))
+    )
+    for _, col, pre in basis:
         if multidegree_of(g, pre) != col:
             raise LatticeSelfCheckError(
                 f"basis column {col} is not the multidegree of {pre}"
             )
-    order = math.prod(val for _, val, _, _ in basis)
-    # Matrix-Tree: principal minor of the negated pairing matrix (the
-    # Laplacian) counts spanning trees of the dual graph.
-    minor = [[-m[i][j] for j in range(1, gamma)] for i in range(1, gamma)]
-    trees = det_bareiss(minor)
+    order = math.prod(val for val, _, _ in basis)
+    # Matrix-Tree: the Laplacian minor -M' counts spanning trees of the dual
+    # graph, and det(-M') = (-1)^(gamma - 1) det(M').
+    trees = (-1) ** (g.gamma - 1) * det_bareiss(minor)
     if order != trees:
         raise LatticeSelfCheckError(
             f"Hermite pivot product {order} != spanning-tree count {trees}"
         )
-    return tuple(basis)
+    return basis
 
 
 def _reduce(basis: tuple, z: list) -> list:
     """Floor-reduce z in place into the Hermite fundamental domain.
 
-    Returns the quotient of each basis column.  A column is zero above its
-    pivot row, so later columns never disturb earlier pivot rows.
+    Returns the quotient of each basis column.  Column r has its pivot in
+    row r and is zero above it, so later columns never disturb earlier pivot
+    rows; the last row is the balancing row, never a pivot row.
     """
     quotients = []
-    for p, val, col, _ in basis:
+    for p, (val, col, _) in enumerate(basis):
         q = z[p] // val
         if q:
             for k in range(p, len(z)):
@@ -231,28 +227,24 @@ def class_group_order(g: CurveGraph) -> int:
     The product of the Hermite pivots; the lattice build checks that it
     equals the spanning-tree count.
     """
-    return math.prod(val for _, val, _, _ in _lattice(g))
+    return math.prod(val for val, _, _ in _lattice(g))
 
 
 def enumerate_classes(g: CurveGraph, d: int) -> list[Multidegree]:
     """The canonical representatives (see multidegree_class) of all degree
     classes of total degree d, in a deterministic order.
 
-    Walks the Hermite fundamental domain: pivot rows range over their
-    residues, the last row (never a pivot row: every column sums to zero)
-    balances the total to zero, and the whole vector is shifted to total
-    degree d along the first coordinate.  More than LISTING_LIMIT classes
-    raises ValueError instead of exhausting memory.
+    Walks the Hermite fundamental domain: pivot rows 0..gamma-2 range over
+    their residues, the last row (the balancing row) brings the total to
+    zero, and the whole vector is shifted to total degree d along the first
+    coordinate.  More than LISTING_LIMIT classes raises ValueError instead
+    of exhausting memory.
     """
-    basis = _lattice(g)
-    pivots = [val for _, val, _, _ in basis]
+    pivots = [val for val, _, _ in _lattice(g)]
     _check_listing("the curve", "degree classes", ((val, 1) for val in pivots))
     out = []
     for residues in itertools.product(*(range(val) for val in pivots)):
-        z = [0] * g.gamma
-        for (p, *_), res in zip(basis, residues):
-            z[p] = res
-        z[-1] = -sum(residues)
+        z = [*residues, -sum(residues)]
         z[0] += d
         out.append(tuple(z))
     return out

@@ -509,6 +509,28 @@ def test_missing_file_is_an_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--degree", ["natural-abel", "{graph}", "--degree=--"]),
+    ("--t", ["canonical-rep", "{graph}", "--t=--"]),
+    ("--reps", ["is-natural", "{graph}", "--degree=1", "--reps=--"]),
+    ("--max-gamma", ["harness", "--max-gamma=--", "--max-edges=2", "--max-degree=1"]),
+])
+def test_double_dash_as_an_option_value_is_an_error(flag, argv, graph_file, capsys):
+    # argparse before 3.13 hands the option an empty list; 3.13 passes "--"
+    # on as the value, or exits 2 itself when it is not an int
+    graph = graph_file(TWO_DELTA3)
+    try:
+        code = main([a.format(graph=graph) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if sys.version_info < (3, 13):
+            assert err == f"error: {flag} needs a value\n"
+    assert code == 2
+
+
 # ----- fuzzing: malformed input never crashes -------------------------------
 
 LABELS = [f"C{i + 1}" for i in range(5)]
@@ -581,6 +603,7 @@ def cli_calls(draw):
 @given(cli_calls())
 @example(("info", DEEP, [], False))
 @example(("is-natural", json.dumps(TWO_DELTA3), [("--degree", "1"), ("--reps", DEEP)], False))
+@example(("canonical-rep", '{"components": ["C1"], "nodes": []}', [("--t", "--")], False))
 def test_cli_fuzz_exit_codes(call):
     """Exit code 0, 1 or 2 on any input, and no exception escapes main (so
     no traceback); our exit 2 prints one error line."""

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -37,34 +38,46 @@ def _det_fraction(mat):
     return int(det)
 
 
+def _nonsingular(rng, n):
+    while True:
+        mat = _random_matrix(rng, n, n)
+        if det_bareiss(mat):
+            return mat
+
+
 def test_row_hnf_transform_and_shape():
+    assert row_hnf([]) == ([], [])
     rng = random.Random(7)
     for _ in range(40):
-        m = rng.randint(1, 5)
         n = rng.randint(1, 5)
-        mat = _random_matrix(rng, m, n)
+        mat = _nonsingular(rng, n)
         h, u = row_hnf(mat)
         # U @ mat == H
-        for i in range(m):
+        for i in range(n):
             for j in range(n):
-                assert sum(u[i][k] * mat[k][j] for k in range(m)) == h[i][j]
+                assert sum(u[i][k] * mat[k][j] for k in range(n)) == h[i][j]
         assert abs(det_bareiss(u)) == 1
-        # echelon: pivot columns strictly increase, zero rows last
-        pivots = []
-        for row in h:
-            p = next((c for c, x in enumerate(row) if x), None)
-            pivots.append(p)
-        nonzero = [p for p in pivots if p is not None]
-        assert nonzero == sorted(nonzero)
-        assert len(set(nonzero)) == len(nonzero)
-        assert pivots[len(nonzero):] == [None] * (len(pivots) - len(nonzero))
-        # pivot positive, entries above reduced
-        for r, p in enumerate(pivots):
-            if p is None:
-                continue
-            assert h[r][p] > 0
+        # upper triangular, positive diagonal pivots, entries above reduced
+        for r in range(n):
+            assert h[r][:r] == [0] * r
+            assert h[r][r] > 0
             for i in range(r):
-                assert 0 <= h[i][p] < h[r][p]
+                assert 0 <= h[i][r] < h[r][r]
+
+
+def test_row_hnf_refuses_a_singular_matrix():
+    rng = random.Random(5)
+    singular = [[[0]], [[0, 1], [0, 2]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]]
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        mat = _random_matrix(rng, n - 1, n)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        mat.insert(rng.randint(0, n - 1), [a * x + b * y for x, y in zip(mat[0], mat[-1])])
+        singular.append(mat)
+    for mat in singular:
+        assert det_bareiss(mat) == 0
+        with pytest.raises(ValueError, match="nonsingular"):
+            row_hnf(mat)
 
 
 def test_smith_invariants_against_sympy():
@@ -72,20 +85,14 @@ def test_smith_invariants_against_sympy():
     # determinant; sympy's Smith form is an independent oracle for both.
     rng = random.Random(11)
     for _ in range(30):
-        m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        mat = _random_matrix(rng, m, n)
+        mat = _nonsingular(rng, n)
         ref = smith_normal_form(sympy.Matrix(mat))
-        invariants = [abs(int(ref[i, i])) for i in range(min(m, n))]
-        nonzero = [d for d in invariants if d]
+        invariants = [abs(int(ref[i, i])) for i in range(n)]
         h, _ = row_hnf(mat)
-        pivots = [next(x for x in row if x) for row in h if any(row)]
-        assert len(pivots) == len(nonzero)
-        if len(pivots) == n:
-            # full-rank row lattice: its index in Z^n both ways
-            assert math.prod(pivots) == math.prod(nonzero)
-        if m == n:
-            assert abs(det_bareiss(mat)) == math.prod(invariants)
+        # the index of the full-rank row lattice in Z^n, three ways
+        assert math.prod(h[r][r] for r in range(n)) == math.prod(invariants)
+        assert abs(det_bareiss(mat)) == math.prod(invariants)
 
 
 def test_det_bareiss():

@@ -219,6 +219,23 @@ def test_order_cross_check_over_enumeration():
         assert class_group_order(g) == order == len(enumerate_classes(g, 0))
 
 
+def test_basis_is_in_hermite_form_exhaustively():
+    # With the two build checks this pins the unique Hermite basis, so the
+    # canonical representatives cannot drift on graphs outside the golden file.
+    for g in connected_multigraphs(5, 8):
+        basis = lattice._lattice(g)
+        zero = (0,) * g.gamma
+        assert len(basis) == g.gamma - 1
+        for r, (val, col, _) in enumerate(basis):
+            assert sum(col) == 0
+            assert col[:r] == zero[:r] and col[r] == val > 0
+            for c in range(r + 1, g.gamma - 1):
+                assert 0 <= col[c] < basis[c][0]
+        for i in range(g.gamma):
+            e = tuple(int(j == i) for j in range(g.gamma))
+            assert equivalent(g, multidegree_of(g, e), zero)
+
+
 def test_equivalent_matches_twister_membership_oracle():
     # the membership test equivalent used to make: build the twister divisor
     # of the difference, which raises exactly when there is none
