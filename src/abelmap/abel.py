@@ -12,8 +12,8 @@ independent brute-force route: every partitional multidegree of total
 degree d (nonnegative entries) must differ from the first partitional
 member of its degree class by a sum-of-tails multidegree, one whose total
 on every piece is 0 (is_natural with the default choice).  That is one
-class lookup per partitional multidegree; is_natural's docstring says why
-it decides the same as testing every equivalent pair.
+class lookup and one piece-total compare per partitional multidegree; see
+is_natural for why it decides the same as testing every equivalent pair.
 cross_check_naturality compares the two routes and is the backbone of the
 enumeration harness.  Both routes read one pieces labelling of the curve
 (CurveGraph.pieces): epsilon is a Stoer-Wagner minimum cut between pieces,
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -37,7 +38,7 @@ from .lattice import (
     equivalent,
     multidegree_class,
 )
-from .levels import is_sum_of_tails_multidegree
+from .levels import is_sum_of_tails_multidegree, piece_totals
 
 INFINITY = math.inf
 
@@ -117,18 +118,23 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     >>> partitional_multidegrees(2, 1)
     [(0, 1), (1, 0)]
     """
+    return list(_partitional(gamma, d))
+
+
+@lru_cache(maxsize=8)  # a sweep reads one (gamma, d) per degree; a refusal is not kept
+def _partitional(gamma: int, d: int) -> tuple[Multidegree, ...]:
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if d < 0:
-        return []
+        return ()
     _check_partitional(gamma, d)
     # stars and bars: the gaps between gamma - 1 bars among d + gamma - 1
     # slots; bars in lex order give vectors in lex order, and no recursion
     # as deep as gamma is needed
-    return [
+    return tuple(
         tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + gamma - 1)))
         for bars in combinations(range(d + gamma - 1), gamma - 1)
-    ]
+    )
 
 
 def _check_partitional(gamma: int, d: int) -> None:
@@ -165,12 +171,13 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
 
     With the default choice this decides the brute-force side of the
     criterion: does every equivalent pair p, q of partitional multidegrees
-    differ by a sum of tails?  Sum-of-tails multidegrees form a subgroup, so when each
-    partitional multidegree differs from its class's first member r by one,
-    so does p - q = (p - r) - (q - r); and r is itself partitional, so the
-    converse is one of the pairs.  For P partitional multidegrees that is P
-    class lookups instead of the O(P^2) pair tests of
-    partitional_pairs_certified.
+    differ by a sum of tails?  Those form a subgroup, so when each p differs
+    from its class's first member r by one, so does p - q = (p - r) - (q - r);
+    and r is itself partitional, so the converse is one of the pairs.  Piece
+    totals are linear, so p - r is a sum of tails exactly when p and r have
+    equal piece totals: the table keeps each representative's totals, and
+    each p costs one class lookup and one tuple compare instead of the
+    O(P^2) pair tests of partitional_pairs_certified.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -181,7 +188,7 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    table: dict[Multidegree, Multidegree] = {}
+    table: dict[Multidegree, tuple] = {}
     if reps is not None:
         for rep in reps:
             rv = _check_vector(g, rep, "representative")
@@ -198,10 +205,10 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
             raise InvalidChooserError(
                 f"the choice has {len(table)} classes, the curve has {order}"
             )
-    for p in partitional_multidegrees(g.gamma, d):
-        rep = table.setdefault(multidegree_class(g, p), p)
-        t = tuple(x - y for x, y in zip(p, rep))
-        if not is_sum_of_tails_multidegree(g, t):
+        table = {cls: piece_totals(g, rv) for cls, rv in table.items()}
+    for p in _partitional(g.gamma, d):
+        totals = piece_totals(g, p)
+        if table.setdefault(multidegree_class(g, p), totals) != totals:
             return False
     return True
 
@@ -217,7 +224,7 @@ def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    parts = partitional_multidegrees(g.gamma, d)
+    parts = _partitional(g.gamma, d)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not equivalent(g, parts[i], parts[j]):

@@ -299,8 +299,11 @@ def _harness_text(out: dict, max_degree: int, **_) -> str:
         )
     lines = [f"{len(out['failures'])} failing instances:"]
     for f in out["failures"]:
-        edges = [tuple(e) for e in f["edges"]]
-        lines.append(f"  components={f['components']} edges={edges} degree={f['degree']}")
+        yes = f["natural_by_classes"]
+        lines.append(
+            f"  components={list(f['components'])} edges={list(f['edges'])}"
+            f" degree={f['degree']} natural_by_classes={yes} natural_by_epsilon={not yes}"
+        )
     return "\n".join(lines)
 
 
@@ -316,10 +319,8 @@ HARNESS_OPTIONS = (
           needs_graph=False, text=_harness_text)
 def _harness(g, max_gamma: int, max_edges: int, max_degree: int, jobs: int) -> dict:
     result = run_harness(max_gamma, max_edges, max_degree, jobs)
-    failures = [
-        {"components": list(c), "edges": [list(e) for e in ed], "degree": d}
-        for c, ed, d in result.failures
-    ]
+    keys = ("components", "edges", "degree", "natural_by_classes")
+    failures = [dict(zip(keys, f)) for f in result.failures]
     return {
         "graphs": result.graphs, "checks": result.checks,
         "failures": failures, "ok": result.ok,

@@ -11,7 +11,10 @@ multiplicities is dropped as soon as a relabeling that maps the first k
 slots onto themselves makes it lex-smaller.  That relabeling's image on the
 first k slots depends only on the prefix, so it makes every completion
 lex-smaller too, and no orbit minimum is lost.  At k = all slots every
-relabeling qualifies, and the test is the full orbit-minimum test.
+relabeling qualifies, and the test is the full orbit-minimum test, run on a
+complete vector only once it is connected (most are not).  A failing degree
+records is_natural's verdict (one class lookup and one piece-total compare
+per partitional multidegree); the criterion said the opposite.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .abel import _check_partitional, cross_check_naturality
+from .abel import _check_partitional, cross_check_naturality, is_natural
 from .graph import CurveGraph, _components
 from .lattice import _check_listing
 
@@ -65,11 +68,12 @@ def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tupl
     n = len(slots)
 
     def rec(prefix: tuple, budget: int) -> Iterator[tuple]:
-        if any(g(prefix) < prefix for g in tables[len(prefix)]):
-            return
         if len(prefix) == n:
-            if len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1:
+            connected = len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1
+            if connected and not any(g(prefix) < prefix for g in tables[n]):
                 yield prefix
+            return
+        if any(g(prefix) < prefix for g in tables[len(prefix)]):
             return
         for m in range(budget + 1):
             yield from rec(prefix + (m,), budget - m)
@@ -106,7 +110,7 @@ def connected_multigraphs(
 class HarnessResult:
     graphs: int
     checks: int
-    failures: tuple  # tuple[(components, edges, degree), ...]
+    failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...]
 
     @property
     def ok(self) -> bool:
@@ -115,7 +119,7 @@ class HarnessResult:
 
 def _failures(g: CurveGraph, max_degree: int) -> list:
     return [
-        (g.components, g.edges, d)
+        (g.components, g.edges, d, is_natural(g, d))
         for d in range(1, max_degree + 1)
         if not cross_check_naturality(g, d)
     ]

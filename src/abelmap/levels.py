@@ -13,10 +13,10 @@ actually jumps.  D is a sum of tails (plus a multiple of X) exactly when
 all its crossings are separating nodes, and the first Betti number of the
 contraction onto the crossing set measures how many independent twisters
 realize the same multidegree.  A multidegree is that of a sum of tails
-exactly when its total on every piece (the one pieces labelling that also
-serves essential connectivity) is 0, so that test needs no lattice.  The
-degree bounds a level expression forces on its base subcurve are checked
-by the test suite.
+exactly when its piece_totals (over the pieces that also serve essential
+connectivity) are all 0, so no lattice is needed, and two multidegrees
+differ by one exactly when their piece totals agree.  The degree bounds a
+level expression forces on its base subcurve are checked by the test suite.
 """
 
 from __future__ import annotations
@@ -53,9 +53,23 @@ def is_sum_of_tails(g: CurveGraph, d: Iterable[int]) -> bool:
     return crossing_nodes(g, d) <= g.bridges
 
 
+def piece_totals(g: CurveGraph, t: Iterable[int]) -> tuple[int, ...]:
+    """Total of t on each piece, pieces in order of their first component.
+
+    >>> g = CurveGraph(["C1", "C2", "C3"], [(0, 1), (1, 2), (1, 2)])
+    >>> piece_totals(g, (3, -1, 2)), piece_totals(g, (-1, 1, 0))  # C1 is a tail
+    ((2, 2), (0, 0))
+    """
+    tv = _check_vector(g, t, "multidegree")
+    totals = dict.fromkeys(g.pieces, 0)
+    for p, x in zip(g.pieces, tv):
+        totals[p] += x
+    return tuple(totals.values())
+
+
 def is_sum_of_tails_multidegree(g: CurveGraph, t: Iterable[int]) -> bool:
     """True when t is the multidegree of a sum of tails: its total on every
-    piece (CurveGraph.pieces) is 0.
+    piece (piece_totals) is 0.
 
     The tail cut off at a separating node (a, b) on the side of a has
     multidegree e_b - e_a.  The separating nodes of a piece form a spanning
@@ -63,11 +77,7 @@ def is_sum_of_tails_multidegree(g: CurveGraph, t: Iterable[int]) -> bool:
     every piece is 0: a subgroup of the twister lattice.  A t outside the
     lattice is simply not one (returns False, no error).
     """
-    tv = _check_vector(g, t, "multidegree")
-    totals = dict.fromkeys(g.pieces, 0)
-    for p, x in zip(g.pieces, tv):
-        totals[p] += x
-    return not any(totals.values())
+    return not any(piece_totals(g, t))
 
 
 def twister_space_dim(g: CurveGraph, t: Iterable[int]) -> int:

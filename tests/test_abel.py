@@ -19,6 +19,7 @@ from abelmap import (
     essential_connectivity,
     has_natural_abel_map,
     is_natural,
+    is_sum_of_tails_multidegree,
     multidegree_class,
     partitional_multidegrees,
 )
@@ -166,6 +167,24 @@ def test_partitional_multidegrees_many_components():
     assert got[0] == (0,) * 1099 + (1,) and got[-1] == (1,) + (0,) * 1099
 
 
+def test_partitional_listing_cache_is_safe():
+    # the library shares one cached listing; the public function copies it
+    got = partitional_multidegrees(3, 2)
+    expected = list(got)
+    got.append((9, 9, 9))
+    got[0] = None
+    assert partitional_multidegrees(3, 2) == expected
+    maxsize = abel._partitional.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize <= 8
+    before = abel._partitional.cache_info()
+    for _ in range(2):  # a refused listing raises every time, and is not kept
+        with pytest.raises(ValueError, match=str(math.comb(68 + 4, 4))):
+            partitional_multidegrees(5, 68)
+    after = abel._partitional.cache_info()
+    assert after.misses == before.misses + 2 and after.hits == before.hits
+    assert after.currsize <= maxsize
+
+
 def _partitional_reps(g, d) -> dict:
     # class -> its chosen representative, when that one is partitional
     table = choose_representatives(g, d)
@@ -219,6 +238,31 @@ def test_is_natural_matches_pairwise_condition():
             pairwise = partitional_pairs_certified(g, d)
             assert is_natural(g, d) == pairwise
             assert cross_check_naturality(g, d) == (pairwise == has_natural_abel_map(g, d))
+
+
+def test_is_natural_with_reps_matches_the_definition():
+    # is_natural keys each class by its representative's piece totals; the
+    # definition subtracts the representative and tests for a sum of tails.
+    # Three choices: the default, the canonical multidegrees, and each
+    # class's last partitional member (the canonical one when it has none).
+    seen = set()
+    for g in connected_multigraphs(4, 6):
+        for d in range(1, 4):
+            parts = partitional_multidegrees(g.gamma, d)
+            canonical = {c: c for c in enumerate_classes(g, d)}
+            last = dict(canonical)
+            for p in parts:
+                last[multidegree_class(g, p)] = p
+            for reps in (choose_representatives(g, d), canonical, last):
+                definition = all(
+                    is_sum_of_tails_multidegree(
+                        g, [x - y for x, y in zip(p, reps[multidegree_class(g, p)])]
+                    )
+                    for p in parts
+                )
+                assert is_natural(g, d, reps.values()) == definition, (g, d, reps)
+                seen.add(definition)
+    assert seen == {True, False}
 
 
 def test_default_chooser_matches_explicit_table():

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abelmap
-from abelmap import CurveGraph, choose_representatives, cli, multidegree_class
+from abelmap import CurveGraph, choose_representatives, cli, harness, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult, run_harness
 from helpers import doubled_cycle, path
@@ -480,22 +480,50 @@ def test_refusals_compute_and_print_no_huge_integer(graph_file, capsys):
 
 def test_harness_failures_report(monkeypatch, capsys):
     failing = HarnessResult(
-        graphs=4, checks=8, failures=((("C1", "C2"), ((0, 1), (0, 1)), 2),)
+        graphs=4, checks=8, failures=((("C1", "C2"), ((0, 1), (0, 1)), 2, True),)
     )
     monkeypatch.setattr(cli, "run_harness", lambda *args: failing)
     argv = ["harness", "--max-gamma", "2", "--max-edges", "2", "--max-degree", "2"]
     assert main(argv) == 1
     assert capsys.readouterr().out == (
         "1 failing instances:\n"
-        "  components=['C1', 'C2'] edges=[(0, 1), (0, 1)] degree=2\n"
+        "  components=['C1', 'C2'] edges=[(0, 1), (0, 1)] degree=2"
+        " natural_by_classes=True natural_by_epsilon=False\n"
     )
     assert main(argv + ["--json"]) == 1
     assert _json_out(capsys)["outputs"] == {
         "graphs": 4,
         "checks": 8,
-        "failures": [{"components": ["C1", "C2"], "edges": [[0, 1], [0, 1]], "degree": 2}],
+        "failures": [{"components": ["C1", "C2"], "edges": [[0, 1], [0, 1]], "degree": 2,
+                      "natural_by_classes": True}],
         "ok": False,
     }
+
+
+def test_harness_failure_says_which_route_said_yes(monkeypatch, capsys):
+    # a failing degree records is_natural, the class route; the criterion
+    # said the opposite.  Every graph fails at degree 2 here, so both
+    # verdicts show: two parallel nodes have no natural map, the rest do.
+    check = harness.cross_check_naturality
+    monkeypatch.setattr(harness, "cross_check_naturality", lambda g, d: d != 2 and check(g, d))
+    argv = ["harness", "--max-gamma", "2", "--max-edges", "2", "--max-degree", "2"]
+    assert main(argv + ["--json"]) == 1
+    out = _json_out(capsys)["outputs"]
+    assert (out["graphs"], out["checks"], out["ok"]) == (6, 12, False)
+    verdicts = {
+        tuple(map(tuple, f["edges"])): f["natural_by_classes"]
+        for f in out["failures"] if f["degree"] == 2
+    }
+    assert len(verdicts) == len(out["failures"]) == 6
+    assert [edges for edges, yes in verdicts.items() if not yes] == [((0, 1), (0, 1))]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "6 failing instances:"
+    assert (
+        "  components=['C1', 'C2'] edges=[(0, 1), (0, 1)] degree=2"
+        " natural_by_classes=False natural_by_epsilon=True"
+    ) in lines
+    assert sum("natural_by_classes=True natural_by_epsilon=False" in x for x in lines) == 5
 
 
 def test_disconnected_graph_is_an_error(graph_file, capsys):

@@ -85,6 +85,38 @@ def test_prefix_tables_fix_their_prefix(loops):
         assert {g(tuple(range(n))) for g in tables[n]} == every - {tuple(range(n))}
 
 
+def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
+    # a full-length vector meets the full relabeling table only after it
+    # passed the connectivity test
+    getters = harness._perm_getters
+    expected = {
+        args: list(_canonical_vectors(*args)) for args in ((5, 7, True), (5, 8, False))
+    }
+    seen = set()
+
+    def guarded(gamma, slots):
+        tables = getters(gamma, slots)
+        labels = [f"C{i + 1}" for i in range(gamma)]
+
+        def connected_only(get):
+            def checked(vec):
+                assert len(vec) == len(slots)
+                # raises DisconnectedCurveError on a disconnected leaf
+                CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
+                seen.add(vec)
+                return get(vec)
+
+            return checked
+
+        tables[-1] = [connected_only(get) for get in tables[-1]]
+        return tables
+
+    monkeypatch.setattr(harness, "_perm_getters", guarded)
+    for args, vecs in expected.items():
+        assert list(_canonical_vectors(*args)) == vecs, args
+    assert len(seen) > sum(map(len, expected.values()))
+
+
 def test_exact_graph_counts():
     assert sum(1 for _ in connected_multigraphs(5, 7)) == 1177
     assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
