@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -41,6 +40,8 @@ from .lattice import (
 from .levels import is_sum_of_tails_multidegree, piece_totals
 
 INFINITY = math.inf
+KEPT_ENTRIES = 1 << 12  # integers in all kept partitional listings; 1.1 MB at most
+_kept: dict = {}  # (gamma, d) -> partitional listing, as a tuple
 
 
 class InvalidChooserError(ValueError):
@@ -113,28 +114,29 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     """Nonnegative integer vectors of length gamma with total d, lex order.
 
     There are binomial(d + gamma - 1, gamma - 1) of them; more than
-    LISTING_LIMIT raises ValueError instead of exhausting memory.
+    LISTING_LIMIT raises ValueError instead of exhausting memory.  Each call
+    returns a fresh list; KEPT_ENTRIES bounds the listings kept for reuse.
 
     >>> partitional_multidegrees(2, 1)
     [(0, 1), (1, 0)]
     """
-    return list(_partitional(gamma, d))
-
-
-@lru_cache(maxsize=8)  # a sweep reads one (gamma, d) per degree; a refusal is not kept
-def _partitional(gamma: int, d: int) -> tuple[Multidegree, ...]:
+    if (gamma, d) in _kept:
+        return list(_kept[gamma, d])
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if d < 0:
-        return ()
+        return []
     _check_partitional(gamma, d)
     # stars and bars: the gaps between gamma - 1 bars among d + gamma - 1
     # slots; bars in lex order give vectors in lex order, and no recursion
     # as deep as gamma is needed
-    return tuple(
+    parts = [
         tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + gamma - 1)))
         for bars in combinations(range(d + gamma - 1), gamma - 1)
-    )
+    ]
+    if gamma * len(parts) + sum(k * len(p) for (k, _), p in _kept.items()) <= KEPT_ENTRIES:
+        _kept[gamma, d] = tuple(parts)  # first come, first kept
+    return parts
 
 
 def _check_partitional(gamma: int, d: int) -> None:
@@ -174,10 +176,9 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     differ by a sum of tails?  Those form a subgroup, so when each p differs
     from its class's first member r by one, so does p - q = (p - r) - (q - r);
     and r is itself partitional, so the converse is one of the pairs.  Piece
-    totals are linear, so p - r is a sum of tails exactly when p and r have
-    equal piece totals: the table keeps each representative's totals, and
-    each p costs one class lookup and one tuple compare instead of the
-    O(P^2) pair tests of partitional_pairs_certified.
+    totals are linear, so p - r is one exactly when p and r have equal
+    piece_totals: each p costs one class lookup and one tuple compare, not
+    the O(P^2) pair tests of partitional_pairs_certified.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -206,7 +207,7 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
                 f"the choice has {len(table)} classes, the curve has {order}"
             )
         table = {cls: piece_totals(g, rv) for cls, rv in table.items()}
-    for p in _partitional(g.gamma, d):
+    for p in partitional_multidegrees(g.gamma, d):
         totals = piece_totals(g, p)
         if table.setdefault(multidegree_class(g, p), totals) != totals:
             return False
@@ -224,7 +225,7 @@ def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    parts = _partitional(g.gamma, d)
+    parts = partitional_multidegrees(g.gamma, d)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not equivalent(g, parts[i], parts[j]):

@@ -300,10 +300,8 @@ def _harness_text(out: dict, max_degree: int, **_) -> str:
     lines = [f"{len(out['failures'])} failing instances:"]
     for f in out["failures"]:
         yes = f["natural_by_classes"]
-        lines.append(
-            f"  components={list(f['components'])} edges={list(f['edges'])}"
-            f" degree={f['degree']} natural_by_classes={yes} natural_by_epsilon={not yes}"
-        )
+        lines.append(f"  components={list(f['components'])} edges={list(f['edges'])} degree="
+                     f"{f['degree']} natural_by_classes={yes} natural_by_epsilon={not yes}")
     return "\n".join(lines)
 
 

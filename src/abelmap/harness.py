@@ -11,10 +11,7 @@ multiplicities is dropped as soon as a relabeling that maps the first k
 slots onto themselves makes it lex-smaller.  That relabeling's image on the
 first k slots depends only on the prefix, so it makes every completion
 lex-smaller too, and no orbit minimum is lost.  At k = all slots every
-relabeling qualifies, and the test is the full orbit-minimum test, run on a
-complete vector only once it is connected (most are not).  A failing degree
-records is_natural's verdict (one class lookup and one piece-total compare
-per partitional multidegree); the criterion said the opposite.
+relabeling qualifies: the full orbit-minimum test, run on connected vectors.
 """
 
 from __future__ import annotations

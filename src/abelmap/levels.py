@@ -13,10 +13,10 @@ actually jumps.  D is a sum of tails (plus a multiple of X) exactly when
 all its crossings are separating nodes, and the first Betti number of the
 contraction onto the crossing set measures how many independent twisters
 realize the same multidegree.  A multidegree is that of a sum of tails
-exactly when its piece_totals (over the pieces that also serve essential
-connectivity) are all 0, so no lattice is needed, and two multidegrees
-differ by one exactly when their piece totals agree.  The degree bounds a
-level expression forces on its base subcurve are checked by the test suite.
+exactly when its piece_totals are all 0, so no lattice is needed, and two
+multidegrees differ by one exactly when their piece totals agree.  The
+degree bounds a level expression forces on its base subcurve are checked
+by the test suite.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ def piece_totals(g: CurveGraph, t: Iterable[int]) -> tuple[int, ...]:
     >>> piece_totals(g, (3, -1, 2)), piece_totals(g, (-1, 1, 0))  # C1 is a tail
     ((2, 2), (0, 0))
     """
-    tv = _check_vector(g, t, "multidegree")
     totals = dict.fromkeys(g.pieces, 0)
-    for p, x in zip(g.pieces, tv):
+    for p, x in zip(g.pieces, _check_vector(g, t, "multidegree")):
         totals[p] += x
     return tuple(totals.values())
 

@@ -167,22 +167,27 @@ def test_partitional_multidegrees_many_components():
     assert got[0] == (0,) * 1099 + (1,) and got[-1] == (1,) + (0,) * 1099
 
 
-def test_partitional_listing_cache_is_safe():
-    # the library shares one cached listing; the public function copies it
+def test_partitional_listing_cache_is_safe(monkeypatch):
+    # listings are kept for reuse up to a budget; every call gets a fresh list
+    monkeypatch.setattr(abel, "_kept", {})
     got = partitional_multidegrees(3, 2)
     expected = list(got)
     got.append((9, 9, 9))
     got[0] = None
     assert partitional_multidegrees(3, 2) == expected
-    maxsize = abel._partitional.cache_parameters()["maxsize"]
-    assert isinstance(maxsize, int) and 0 < maxsize <= 8
-    before = abel._partitional.cache_info()
+    assert list(abel._kept) == [(3, 2)]
     for _ in range(2):  # a refused listing raises every time, and is not kept
         with pytest.raises(ValueError, match=str(math.comb(68 + 4, 4))):
             partitional_multidegrees(5, 68)
-    after = abel._partitional.cache_info()
-    assert after.misses == before.misses + 2 and after.hits == before.hits
-    assert after.currsize <= maxsize
+    # a listing past the budget is built on every call and never kept
+    big = partitional_multidegrees(5, 20)
+    assert 5 * len(big) > abel.KEPT_ENTRIES
+    assert partitional_multidegrees(5, 20) == big
+    for d in range(200):  # the budget bounds what all kept listings hold
+        partitional_multidegrees(2, d)
+    assert (5, 20) not in abel._kept and (2, 1) in abel._kept
+    held = sum(gamma * len(p) for (gamma, _), p in abel._kept.items())
+    assert 0 < held <= abel.KEPT_ENTRIES
 
 
 def _partitional_reps(g, d) -> dict:

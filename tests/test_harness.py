@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from abelmap import (
     CurveGraph,
+    abel,
     class_group_order,
     cross_check_naturality,
     essential_connectivity,
@@ -158,6 +159,22 @@ def test_a_sweep_keeps_one_lattice():
     result = run_harness(4, 6, 2)
     assert result.ok and (result.graphs, result.checks) == (283, 566)
     assert lattice._lattice.cache_info().currsize == 1
+
+
+def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
+    # graphs come gamma by gamma, each checked at degrees 1..D: past D = 8
+    # the kept listings still serve every graph, and no listing is built twice
+    built = []
+
+    def counted(pool, r):
+        built.append((r + 1, len(pool) - r))  # (gamma, d)
+        return combinations(pool, r)
+
+    monkeypatch.setattr(abel, "_kept", {})
+    monkeypatch.setattr(abel, "combinations", counted)
+    result = run_harness(3, 4, 9)
+    assert result.ok and result.graphs > 9
+    assert sorted(built) == [(gamma, d) for gamma in (1, 2, 3) for d in range(1, 10)]
 
 
 def test_enumeration_contains_known_shapes():
