@@ -2,22 +2,19 @@
 
 The essential connectivity of a connected nodal curve is the smallest
 cut size k_Z over proper subcurves Z whose cut is not made of separating
-nodes only: the smallest cut once the separating nodes are contracted.  It
-is infinite when no such subcurve exists (irreducible curves, curves of
-compact type, two components meeting in one node).
+nodes only: the smallest cut of X', the curve with its separating nodes
+contracted (CurveGraph.contracted).  It is infinite when X' has one
+component (irreducible curves, curves of compact type, two components
+meeting in one node).
 
 The decision implemented here: a natural d-th Abel map exists if and only
 if the essential connectivity exceeds d.  The package also carries an
-independent brute-force route: every partitional multidegree of total
-degree d (nonnegative entries) must differ from the first partitional
-member of its degree class by a sum-of-tails multidegree, one whose total
-on every piece is 0 (is_natural with the default choice).  That is one
-class lookup and one piece-total compare per partitional multidegree; see
-is_natural for why it decides the same as testing every equivalent pair.
-cross_check_naturality compares the two routes and is the backbone of the
-enumeration harness.  Both routes read one pieces labelling of the curve
-(CurveGraph.pieces): epsilon is a Stoer-Wagner minimum cut between pieces,
-polynomial in their number, and the sum-of-tails test sums over them.
+independent brute-force route, is_natural: every two equivalent
+partitional multidegrees (nonnegative entries, total degree d) must differ
+by a sum-of-tails multidegree.  On X' that asks whether the partitional
+multidegrees lie in pairwise distinct classes (see is_natural for the
+reduction).  cross_check_naturality compares the two routes and is the
+backbone of the enumeration harness.
 """
 
 from __future__ import annotations
@@ -52,15 +49,13 @@ def essential_connectivity(g: CurveGraph):
     """inf of k_Z over proper subcurves whose cut has a non-separating node.
 
     A minimizing cut can always be taken with no separating node in it, so
-    this is the smallest cut of the curve with its separating nodes
-    contracted to pieces: a global minimum cut of the pieces, each other
-    non-loop node an edge of weight 1, found by Stoer-Wagner in
-    O(P * E log P) for P pieces.  math.inf for one piece (compact type).
+    this is the global minimum cut of X' = g.contracted, each non-loop node
+    an edge of weight 1, found by Stoer-Wagner in O(P * E log P) for P
+    pieces.  math.inf for one piece (compact type).
     """
-    piece = g.pieces
-    weight: dict = {p: {} for p in piece}  # piece -> {piece: nodes between}
-    for a, b in g.edges:
-        u, v = piece[a], piece[b]
+    x = g.contracted
+    weight: dict = {k: {} for k in range(x.gamma)}  # piece -> {piece: nodes between}
+    for u, v in x.edges:
         if u != v:
             weight[u][v] = weight[u].get(v, 0) + 1
             weight[v][u] = weight[v].get(u, 0) + 1
@@ -167,18 +162,18 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     representative by a sum-of-tails multidegree.  reps holds one
     multidegree of total d per degree class, in any order; InvalidChooserError
     when two share a class or their count is not class_group_order (then
-    every class has one).  The default is choose_representatives(g, d); only
-    its partitional representatives are ever looked up, so the table starts
-    empty and takes each class's first (lex-smallest) partitional member.
+    every class has one).  The default is choose_representatives(g, d).
 
-    With the default choice this decides the brute-force side of the
-    criterion: does every equivalent pair p, q of partitional multidegrees
-    differ by a sum of tails?  Those form a subgroup, so when each p differs
-    from its class's first member r by one, so does p - q = (p - r) - (q - r);
-    and r is itself partitional, so the converse is one of the pairs.  Piece
-    totals are linear, so p - r is one exactly when p and r have equal
-    piece_totals: each p costs one class lookup and one tuple compare, not
-    the O(P^2) pair tests of partitional_pairs_certified.
+    Both are decided on X' = g.contracted, with pi = piece_totals onto its
+    components.  The sum-of-tails multidegrees are the kernel of pi in
+    degree 0 and lie in the twister lattice, which pi maps onto that of X'.
+    So p ~ q on X exactly when pi(p) ~ pi(q) on X', and p - q is a sum of
+    tails exactly when pi(p) = pi(q).  pi maps partitional onto partitional
+    multidegrees, so a choice works when every partitional q of X' is pi of
+    its class's representative, and the default (each class's first
+    partitional member) works exactly when no two partitional q share a
+    class.  So does the pair test of partitional_pairs_certified, at one
+    class lookup per q instead of O(P^2) pair tests.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -189,13 +184,14 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    x = g.contracted
     table: dict[Multidegree, tuple] = {}
     if reps is not None:
         for rep in reps:
             rv = _check_vector(g, rep, "representative")
             if sum(rv) != d:
                 raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
-            cls = multidegree_class(g, rv)
+            cls = multidegree_class(x, piece_totals(g, rv))
             if cls in table:
                 raise InvalidChooserError(
                     f"representatives {table[cls]} and {rv} share a class"
@@ -207,9 +203,8 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
                 f"the choice has {len(table)} classes, the curve has {order}"
             )
         table = {cls: piece_totals(g, rv) for cls, rv in table.items()}
-    for p in partitional_multidegrees(g.gamma, d):
-        totals = piece_totals(g, p)
-        if table.setdefault(multidegree_class(g, p), totals) != totals:
+    for q in partitional_multidegrees(x.gamma, d):
+        if table.setdefault(multidegree_class(x, q), q) != q:
             return False
     return True
 
@@ -239,8 +234,9 @@ def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
 def cross_check_naturality(g: CurveGraph, d: int) -> bool:
     """Compare the brute-force route with the connectivity criterion.
 
-    The brute-force route is is_natural(g, d): per-class sum-of-tails tests
-    on the twister lattice.  The criterion is a minimum cut of the pieces.
+    The brute-force route is is_natural(g, d): distinct classes for the
+    partitional multidegrees of X' = g.contracted.  The criterion is a
+    minimum cut of X'.
     Returns True when the two independent routes agree; the enumeration
     harness demands True on every instance.
     """

@@ -19,11 +19,11 @@ Conventions used throughout the package:
   * the cut of Z, k_Z = (Z . Z'), counts the non-loop edges joining Z to
     its complement; a separating node is a bridge of the graph, and one
     low-link depth-first search (Tarjan) finds them all in O(gamma + E);
-  * a piece is a class of components joined by separating nodes.  The one
-    pieces labelling (CurveGraph.pieces) is the curve with its separating
-    nodes contracted; it serves both essential connectivity and the
-    sum-of-tails test (t is a sum-of-tails multidegree exactly when its
-    total on every piece is 0).
+  * a piece is a class of components joined by separating nodes, and
+    CurveGraph.contracted is X', the curve with its separating nodes
+    contracted: component k of X' is piece k.  Twisting by a tail is
+    trivial, so every question the package asks of pieces (essential
+    connectivity, the brute-force verdict, the class count) is asked of X'.
 
 The library needs no pairing or cut of subcurves: it reads the pairing
 matrix and the pieces, and the test suite keeps those subcurve forms as
@@ -134,10 +134,22 @@ class CurveGraph:
 
     @cached_property
     def pieces(self) -> tuple[int, ...]:
-        """Piece label of each component: components joined by separating
-        nodes share a label.  A node joins two pieces exactly when its ends
-        carry different labels, so loops and separating nodes never do."""
+        """Piece of each component, 0..P-1 in order of first component:
+        components joined by separating nodes share a piece.  A node joins
+        two pieces exactly when its ends carry different labels, so loops
+        and separating nodes never do."""
         return tuple(_components(self.gamma, [self.edges[e] for e in self.bridges]))
+
+    @cached_property
+    def contracted(self) -> CurveGraph:
+        """X', bridgeless: component k is piece k, with its first component's
+        label.  The curve itself when it has no separating node."""
+        if not self.bridges:
+            return self
+        p = self.pieces
+        first = dict(zip(reversed(p), reversed(self.components)))
+        kept = [(p[a], p[b]) for e, (a, b) in enumerate(self.edges) if e not in self.bridges]
+        return CurveGraph([first[k] for k in range(len(first))], kept)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -154,9 +166,8 @@ class CurveGraph:
 
 
 def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Component label of each vertex 0..gamma-1 under the edges in pairs.
-
-    Union-find; a loop joins nothing.
+    """Component label of each vertex 0..gamma-1 under the edges in pairs,
+    0, 1, ... in order of first vertex.  Union-find; a loop joins nothing.
     """
     parent = list(range(gamma))
 
@@ -170,7 +181,8 @@ def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return [find(v) for v in range(gamma)]
+    dense: dict = {}
+    return [dense.setdefault(find(v), len(dense)) for v in range(gamma)]
 
 
 def betti(g: CurveGraph, s: Iterable[int]) -> int:

@@ -135,8 +135,8 @@ def run_harness(
         raise ValueError("max_degree must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # the largest gamma always has a tree: refuse its over-limit degrees now
-    _check_partitional(min(max_gamma, max_edges + 1), max_degree)
+    # a cycle or a double node has the most pieces: refuse their degrees now
+    _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
     check = functools.partial(_failures, max_degree=max_degree)
     graphs_in = connected_multigraphs(max_gamma, max_edges)
     workers = min(jobs, os.cpu_count() or 1)

@@ -224,10 +224,10 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
 def class_group_order(g: CurveGraph) -> int:
     """Number of degree classes for any fixed total degree.
 
-    The product of the Hermite pivots; the lattice build checks that it
-    equals the spanning-tree count.
+    The Hermite pivot product of g.contracted, checked at the build against
+    its spanning-tree count: the curve's, as every tree has every bridge.
     """
-    return math.prod(val for val, _, _ in _lattice(g))
+    return math.prod(val for val, _, _ in _lattice(g.contracted))
 
 
 def enumerate_classes(g: CurveGraph, d: int) -> list[Multidegree]:

@@ -12,11 +12,11 @@ different levels; these are the nodes where the twisting line bundle
 actually jumps.  D is a sum of tails (plus a multiple of X) exactly when
 all its crossings are separating nodes, and the first Betti number of the
 contraction onto the crossing set measures how many independent twisters
-realize the same multidegree.  A multidegree is that of a sum of tails
-exactly when its piece_totals are all 0, so no lattice is needed, and two
-multidegrees differ by one exactly when their piece totals agree.  The
-degree bounds a level expression forces on its base subcurve are checked
-by the test suite.
+realize the same multidegree.  piece_totals is the map pi onto the
+components of X' = CurveGraph.contracted; t is a sum-of-tails multidegree
+exactly when pi(t) = 0, with no lattice (abel.is_natural states the
+reduction to X').  The degree bounds a level expression forces on its base
+subcurve are checked by the test suite.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def is_sum_of_tails(g: CurveGraph, d: Iterable[int]) -> bool:
 
 
 def piece_totals(g: CurveGraph, t: Iterable[int]) -> tuple[int, ...]:
-    """Total of t on each piece, pieces in order of their first component.
+    """pi(t): entry k is the total of t on piece k, component k of X'.
 
     >>> g = CurveGraph(["C1", "C2", "C3"], [(0, 1), (1, 2), (1, 2)])
     >>> piece_totals(g, (3, -1, 2)), piece_totals(g, (-1, 1, 0))  # C1 is a tail

@@ -12,9 +12,12 @@ from abelmap import (
     DisconnectedCurveError,
     NotATwisterError,
     crossing_nodes_of_multidegree,
+    multidegree_class,
     normalize_divisor,
+    partitional_multidegrees,
     twister_divisor,
 )
+from abelmap.levels import piece_totals
 
 
 def two_component(delta: int, loops: tuple = ()) -> CurveGraph:
@@ -271,3 +274,21 @@ def sum_of_tails_by_search(g: CurveGraph, d, table=None) -> bool:
         bound = max((abs(x) for x in d), default=0)
         table = tail_sum_oracle_table(g, bound)
     return normalize_divisor(d) in table
+
+
+def is_natural_by_piece_totals(g: CurveGraph, d: int, reps=None) -> bool:
+    """is_natural on the curve itself, without the contracted curve.
+
+    Every partitional multidegree p of length gamma must have the piece
+    totals of its class's representative (by default the class's first
+    partitional member): p minus it is then a sum of tails.  One class
+    lookup on X's own lattice per p.
+    """
+    table: dict = {}
+    if reps is not None:
+        table = {multidegree_class(g, r): piece_totals(g, r) for r in reps}
+    for p in partitional_multidegrees(g.gamma, d):
+        totals = piece_totals(g, p)
+        if table.setdefault(multidegree_class(g, p), totals) != totals:
+            return False
+    return True

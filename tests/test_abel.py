@@ -13,6 +13,7 @@ from abelmap import (
     abel,
     InvalidChooserError,
     choose_representatives,
+    class_group_order,
     cross_check_naturality,
     enumerate_classes,
     equivalent,
@@ -24,7 +25,10 @@ from abelmap import (
     partitional_multidegrees,
 )
 from abelmap.abel import partitional_pairs_certified
+from abelmap.graph import _components
 from abelmap.harness import connected_multigraphs
+from abelmap.lattice import _lattice
+from abelmap.levels import piece_totals
 from helpers import (
     bridges_by_removal,
     connected_graphs,
@@ -33,6 +37,7 @@ from helpers import (
     doubled_cycle,
     epsilon_by_piece_scan,
     epsilon_over_connected_subcurves,
+    is_natural_by_piece_totals,
     path,
     star,
     triangle_with_pendant,
@@ -268,6 +273,22 @@ def test_is_natural_with_reps_matches_the_definition():
                 assert is_natural(g, d, reps.values()) == definition, (g, d, reps)
                 seen.add(definition)
     assert seen == {True, False}
+
+
+def test_the_contracted_curve_answers_for_the_curve():
+    # X' = g.contracted is connected and bridgeless with one component per
+    # piece; pi = piece_totals keeps the total; the class count, epsilon and
+    # the brute-force verdict read off X' match those of X itself
+    for g in connected_multigraphs(5, 8):
+        x = g.contracted
+        assert len(set(_components(x.gamma, x.edges))) == 1 and not x.bridges
+        assert x.gamma == len(set(g.pieces))
+        t = tuple(range(3, 3 + g.gamma))
+        assert len(piece_totals(g, t)) == x.gamma and sum(piece_totals(g, t)) == sum(t)
+        assert class_group_order(g) == math.prod(val for val, _, _ in _lattice(g))
+        assert essential_connectivity(g) >= 2
+        for d in range(1, 5):
+            assert is_natural(g, d) == is_natural_by_piece_totals(g, d), (g, d)
 
 
 def test_default_chooser_matches_explicit_table():

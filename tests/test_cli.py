@@ -21,7 +21,7 @@ import abelmap
 from abelmap import CurveGraph, choose_representatives, cli, harness, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult, run_harness
-from helpers import doubled_cycle, path
+from helpers import cycle, doubled_cycle, path
 
 TWO_DELTA3 = {
     "components": ["C1", "C2"],
@@ -464,8 +464,9 @@ def test_harness_refuses_an_over_limit_degree_before_the_sweep(monkeypatch, caps
 
 
 def test_refusals_compute_and_print_no_huge_integer(graph_file, capsys):
-    # 1000000! and binomial(102999, 2999) have thousands of digits
-    f = graph_file(serialize_graph(path(3000)))
+    # 1000000! and binomial(102999, 2999) have thousands of digits; the
+    # 3000-cycle has 3000 pieces
+    f = graph_file(serialize_graph(cycle(3000)))
     harness = ["harness", "--max-gamma", "1000000", "--max-edges", "1000000"]
     for argv, named in (
         ([*harness, "--max-degree", "1"], "gamma 1000000 has more than"),
@@ -476,6 +477,32 @@ def test_refusals_compute_and_print_no_huge_integer(graph_file, capsys):
         assert time.perf_counter() - start < 1
         err = _one_line_error(capsys)
         assert named in err and err.endswith(", over 1000000\n"), err
+    # the 3000-path is one piece: one partitional multidegree, answered
+    f = graph_file(serialize_graph(path(3000)), "path.json")
+    start = time.perf_counter()
+    assert main(["verify", f, "--degree", "100000", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert _json_out(capsys)["outputs"]["agree"] is True
+
+
+def test_bridge_heavy_curves_answer_fast(graph_file, capsys):
+    # a 2000-component path whose last component lies on a doubled triangle:
+    # 3 pieces, the doubled triangle is X', epsilon 4, 12 spanning trees
+    edges = [(i, i + 1) for i in range(1999)]
+    edges += [(1999, 2000), (2000, 2001), (1999, 2001)] * 2
+    g = CurveGraph([f"C{i + 1}" for i in range(2002)], edges)
+    f = graph_file(serialize_graph(g))
+    for argv, key, value in (
+        (["info", f], "class_group_order", 12),
+        (["verify", f, "--degree", "1"], "agree", True),
+        (["verify", f, "--degree", "4"], "pairwise_certified", False),
+        (["is-natural", f, "--degree", "3"], "natural", True),
+    ):
+        start = time.perf_counter()
+        assert main([*argv, "--json"]) == 0
+        assert time.perf_counter() - start < 2, argv
+        out = _json_out(capsys)["outputs"]
+        assert out[key] == value and out.get("agree", True), (argv, out)
 
 
 def test_harness_failures_report(monkeypatch, capsys):

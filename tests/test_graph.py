@@ -99,6 +99,18 @@ def test_pieces_examples():
     assert p[3] == p[0] and len(set(p)) == 3
 
 
+def test_contracted_examples():
+    # pieces are numbered in order of their first component, and piece k is
+    # component k of X', labelled by its first component
+    g = CurveGraph(["A", "B", "C", "D"], [(0, 1), (1, 2), (2, 3), (1, 3), (3, 3)])
+    assert g.pieces == (0, 0, 1, 2)
+    assert g.contracted == CurveGraph(["A", "C", "D"], [(0, 1), (1, 2), (0, 2), (2, 2)])
+    assert triangle_with_pendant().pieces == (0, 1, 2, 0)
+    assert path(4).contracted == CurveGraph(["C1"], [])
+    c = cycle(3)
+    assert c.contracted is c and c.contracted.contracted is c
+
+
 @settings(deadline=None)
 @given(connected_graphs())
 def test_pieces_are_the_bridge_forest_components(g):

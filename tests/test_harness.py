@@ -228,7 +228,18 @@ def test_run_harness_validates_bounds():
     assert (res.graphs, res.checks, res.failures) == (1, 1, ())
 
 
+def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
+    # is_natural lists binomial(d + P - 1, P - 1) vectors for P pieces; with
+    # at most 2 nodes a curve has at most 2 pieces, though gamma reaches 3
+    monkeypatch.setattr(lattice, "LISTING_LIMIT", 100)
+    assert run_harness(3, 2, 13).ok  # binomial(14, 1) = 14
+    with pytest.raises(ValueError, match="degree 13 has 105 partitional"):
+        run_harness(3, 3, 13)  # a triangle: binomial(15, 2)
+
+
 def test_run_harness_builds_each_graph_once(monkeypatch):
+    # each graph once, plus its contracted curve when it has a separating node
+    bridged = sum(bool(g.bridges) for g in connected_multigraphs(3, 4))
     built = []
     init = CurveGraph.__init__
 
@@ -238,7 +249,7 @@ def test_run_harness_builds_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(CurveGraph, "__init__", counting_init)
     res = run_harness(3, 4, 2)
-    assert len(built) == res.graphs > 0
+    assert len(built) == res.graphs + bridged and res.graphs > bridged > 0
 
 
 class _InProcessPool:

@@ -310,3 +310,29 @@ def test_self_check_survives_python_O():
         timeout=60,
     )
     assert proc.stdout == "build caught\nround trip caught\n", (proc.stdout, proc.stderr)
+
+
+def test_round_trip_check_survives_python_O():
+    # class_group_order builds the lattice of the contracted curve, so build
+    # the curve's own lattice through twister_divisor before multidegree_of
+    # goes wrong; then only the round-trip check can catch it
+    script = textwrap.dedent("""
+        from abelmap import lattice
+        from abelmap.graph import CurveGraph
+
+        g = CurveGraph(["A", "B"], [(0, 1)])
+        lattice.twister_divisor(g, (1, -1))
+        lattice.multidegree_of = lambda g, d: (0, 0)
+        try:
+            lattice.twister_divisor(g, (1, -1))
+        except lattice.LatticeSelfCheckError as exc:
+            print(exc)
+    """)
+    src = str(Path(abelmap.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.stdout == "divisor (0, 1) found for (1, -1) has another multidegree\n", (
+        proc.stdout, proc.stderr)
