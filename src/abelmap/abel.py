@@ -29,12 +29,14 @@ from .lattice import (
     Multidegree,
     _check_listing,
     _check_vector,
+    _place,
     class_group_order,
     enumerate_classes,
     equivalent,
     multidegree_class,
+    piece_totals,
 )
-from .levels import is_sum_of_tails_multidegree, piece_totals
+from .levels import is_sum_of_tails_multidegree
 
 INFINITY = math.inf
 KEPT_ENTRIES = 1 << 12  # integers in all kept partitional listings; 1.1 MB at most
@@ -144,13 +146,14 @@ def _check_partitional(gamma: int, d: int) -> None:
 def choose_representatives(g: CurveGraph, d: int) -> dict:
     """One representative per degree class, keyed by the class's canonical
     multidegree in enumerate_classes order: the lex-smallest partitional
-    member when the class has one, the canonical multidegree otherwise.
-    Deterministic.
+    member when the class has one (a partitional q of X' placed on the last
+    components, _place), the canonical multidegree otherwise.  Deterministic.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     first: dict[Multidegree, Multidegree] = {}
-    for p in partitional_multidegrees(g.gamma, d):
+    for q in partitional_multidegrees(g.contracted.gamma, d):
+        p = tuple(_place(g, q))
         first.setdefault(multidegree_class(g, p), p)
     return {c: first.get(c, c) for c in enumerate_classes(g, d)}
 

@@ -23,7 +23,7 @@ Conventions used throughout the package:
     CurveGraph.contracted is X', the curve with its separating nodes
     contracted: component k of X' is piece k.  Twisting by a tail is
     trivial, so every question the package asks of pieces (essential
-    connectivity, the brute-force verdict, the class count) is asked of X'.
+    connectivity, the brute-force verdict, the classes) is asked of X'.
 
 The library needs no pairing or cut of subcurves: it reads the pairing
 matrix and the pieces, and the test suite keeps those subcurve forms as
@@ -134,22 +134,28 @@ class CurveGraph:
 
     @cached_property
     def pieces(self) -> tuple[int, ...]:
-        """Piece of each component, 0..P-1 in order of first component:
+        """Piece of each component, 0..P-1 in order of their last component:
         components joined by separating nodes share a piece.  A node joins
         two pieces exactly when its ends carry different labels, so loops
         and separating nodes never do."""
-        return tuple(_components(self.gamma, [self.edges[e] for e in self.bridges]))
+        last = _components(self.gamma, [self.edges[e] for e in self.bridges])
+        dense = {r: k for k, r in enumerate(sorted(set(last)))}
+        return tuple(dense[r] for r in last)
 
-    @cached_property
+    @property
     def contracted(self) -> CurveGraph:
         """X', bridgeless: component k is piece k, with its first component's
         label.  The curve itself when it has no separating node."""
-        if not self.bridges:
-            return self
+        return self._contracted if self.bridges else self
+
+    @cached_property
+    def _contracted(self) -> CurveGraph:
         p = self.pieces
         first = dict(zip(reversed(p), reversed(self.components)))
         kept = [(p[a], p[b]) for e, (a, b) in enumerate(self.edges) if e not in self.bridges]
-        return CurveGraph([first[k] for k in range(len(first))], kept)
+        x = CurveGraph([first[k] for k in range(len(first))], kept)
+        x.bridges = frozenset()  # X' has none: no search needed
+        return x
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -166,8 +172,8 @@ class CurveGraph:
 
 
 def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Component label of each vertex 0..gamma-1 under the edges in pairs,
-    0, 1, ... in order of first vertex.  Union-find; a loop joins nothing.
+    """The last vertex of the component of each vertex 0..gamma-1 under the
+    edges in pairs.  Union-find; a loop joins nothing.
     """
     parent = list(range(gamma))
 
@@ -179,10 +185,11 @@ def _components(gamma: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
     for a, b in pairs:
         ra, rb = find(a), find(b)
-        if ra != rb:
+        if ra < rb:  # each root is the last vertex of its class
             parent[ra] = rb
-    dense: dict = {}
-    return [dense.setdefault(find(v), len(dense)) for v in range(gamma)]
+        elif rb < ra:
+            parent[rb] = ra
+    return [find(v) for v in range(gamma)]
 
 
 def betti(g: CurveGraph, s: Iterable[int]) -> int:

@@ -11,12 +11,17 @@ Two multidegrees of the same total degree are equivalent when their
 difference lies in the twister lattice; the classes of total degree d form a
 finite set whose size is independent of d and equals the number of spanning
 trees of the dual graph.  A class is its canonical representative, a plain
-multidegree (defined at multidegree_class).  Every query reduces against
-one Hermite basis of the twister lattice, the Hermite form of one square
-matrix: the pairing matrix without its last row and column (see _lattice).
-It is checked when it is built: each basis column must be the multidegree
-of its stored divisor, and the pivot product must equal the Matrix-Tree
-spanning-tree count, so the basis spans the whole lattice.
+multidegree (defined at multidegree_class).
+
+Every query reduces against one Hermite basis, that of X' = g.contracted,
+the curve with its separating nodes contracted (built and checked by
+_lattice); X's own basis is never built.  A sum of tails (total 0 on every
+piece) is a twister, so t is one exactly when pi(t) = piece_totals(g, t)
+is one on X'.  With pieces numbered in order of their last component, X's
+Hermite basis is the lift of that of X': a component r that is not the
+last of its piece has pivot 1 (e_r minus e of that last component is a
+sum of tails), and the last component of piece k has pivot k of X'.  So
+X's fundamental domain is that of X' placed on the last components.
 
 A twister multidegree t is the multidegree of one divisor modulo X;
 twister_divisor returns it normalized to minimum coefficient 0 (the
@@ -53,7 +58,15 @@ class NotATwisterError(ValueError):
     or says that the lattice is zero (a curve with one component)."""
 
     def __init__(self, g: CurveGraph, t: Multidegree):
-        cols = "; ".join(str(col) for _, col, _ in _lattice(g))
+        # X's Hermite columns, lifted: column r is v e_r plus -v e_r reduced,
+        # v being pivot k of X' if r is last in piece k, else 1
+        basis, last = _lattice(g.contracted), {k: r for r, k in enumerate(g.pieces)}
+        lifted = []
+        for r, k in enumerate(g.pieces[:-1]):
+            v = basis[k][0] if r == last[k] else 1
+            lifted.append(_reduced(g, [-v * (i == r) for i in range(g.gamma)]))
+            lifted[-1][r] = v
+        cols = "; ".join(str(tuple(col)) for col in lifted)
         where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
         super().__init__(f"{t} is not a twister multidegree ({where})")
 
@@ -84,7 +97,8 @@ def _lattice(g: CurveGraph) -> tuple:
     column is row r of H extended by the balancing entry -sum(row), with its
     pivot in row r, and the divisor is row r of U extended by 0.  Only the
     last graph and its basis are kept: the CLI works on one graph per
-    process, and the harness finishes each graph before the next.
+    process, and the harness finishes each graph before the next.  The
+    library builds it only for curves without a separating node.
     """
     minor = [list(row[:-1]) for row in g.pairing_matrix[:-1]]
     h, u = row_hnf(minor)
@@ -124,11 +138,42 @@ def _reduce(basis: tuple, z: list) -> list:
     return quotients
 
 
+def _reduced(g: CurveGraph, z: list) -> list:
+    """z reduced into X's Hermite fundamental domain: pi(z) reduced on X', placed."""
+    if not g.bridges:  # X' is the curve, as in every class lookup of is_natural
+        _reduce(_lattice(g), z)
+        return z
+    w = list(piece_totals(g, z))
+    _reduce(_lattice(g.contracted), w)
+    return _place(g, w)
+
+
+def _place(g: CurveGraph, w):
+    """w, on X', with entry k on the last component of piece k (w itself if X' is X)."""
+    if not g.bridges:
+        return w
+    last = {k: r for r, k in enumerate(g.pieces)}
+    return [w[k] if r == last[k] else 0 for r, k in enumerate(g.pieces)]
+
+
 def _check_vector(g: CurveGraph, v: Iterable[int], what: str) -> tuple:
     t = tuple(v)
     if len(t) != g.gamma:
         raise ValueError(f"{what} has length {len(t)}, expected {g.gamma}")
     return t
+
+
+def piece_totals(g: CurveGraph, t: Iterable[int]) -> tuple[int, ...]:
+    """pi(t): entry k is the total of t on piece k, component k of X'.
+
+    >>> g = CurveGraph(["C1", "C2", "C3"], [(0, 1), (1, 2), (1, 2)])
+    >>> piece_totals(g, (3, -1, 2)), piece_totals(g, (-1, 1, 0))  # C1 is a tail
+    ((2, 2), (0, 0))
+    """
+    totals = [0] * (g.pieces[-1] + 1)  # the last component is on the last piece
+    for k, x in zip(g.pieces, _check_vector(g, t, "multidegree")):
+        totals[k] += x
+    return tuple(totals)
 
 
 def multidegree_of(g: CurveGraph, d: Iterable[int]) -> Multidegree:
@@ -167,23 +212,44 @@ def normalize_divisor(d: Iterable[int]) -> Divisor:
 def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Divisor:
     """The normalized divisor with multidegree t.
 
-    t is in the twister lattice when its Hermite reduction leaves zero; the
-    quotients then weight the basis preimages.  Unique modulo X, returned
-    with minimum coefficient 0, and its multidegree is checked to be t.  It
-    is the canonical divisor of t, and the level expression of t is read
-    off it: level m is the set of components with coefficient m.  Raises
-    NotATwisterError when t is outside the lattice; every column sums to
-    zero, so a nonzero total always leaves a residue.
+    t is in the twister lattice when the Hermite reduction of pi(t) on X'
+    leaves zero; the quotients then weight the basis preimages of X' into
+    D'.  D is read along a breadth-first spanning tree, which holds every
+    separating node: across one, D drops by the total of t below it, the
+    only node leaving that side; across any other node D changes as D' does
+    between the two pieces (a sum of tails is constant there).  Unique
+    modulo X, returned with minimum coefficient 0, and its multidegree is
+    checked to be t.  It is the canonical divisor of t, and the level
+    expression of t is read off it: level m is the set of components with
+    coefficient m.  Raises NotATwisterError when t is outside the lattice;
+    every column sums to zero, so a nonzero total always leaves a residue.
     """
     tv = _check_vector(g, t, "multidegree")
-    basis = _lattice(g)
-    residue = list(tv)
+    basis = _lattice(g.contracted)
+    residue = list(piece_totals(g, tv))
     quotients = _reduce(basis, residue)
     if any(residue):
         raise NotATwisterError(g, tv)
-    x = [0] * len(tv)
+    dx = [0] * len(residue)
     for q, (*_, pre) in zip(quotients, basis):
-        x = [a + q * b for a, b in zip(x, pre)]
+        dx = [a + q * b for a, b in zip(dx, pre)]
+    adj = [[] for _ in tv]
+    for e, (a, b) in enumerate(g.edges):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    order, via = [0], {0: None}  # via: component -> (parent, node between)
+    for v in order:
+        for w, e in adj[v]:
+            if w not in via:
+                via[w] = (v, e)
+                order.append(w)
+    below = list(tv)  # the total of t on the side below each component
+    for v in reversed(order[1:]):
+        below[via[v][0]] += below[v]
+    p, x = g.pieces, [0] * len(tv)
+    for v in order[1:]:
+        u, e = via[v]
+        x[v] = x[u] - below[v] if e in g.bridges else x[u] + dx[p[v]] - dx[p[u]]
     out = normalize_divisor(x)
     if multidegree_of(g, out) != tv:
         raise LatticeSelfCheckError(
@@ -201,9 +267,7 @@ def equivalent(g: CurveGraph, d1: Iterable[int], d2: Iterable[int]) -> bool:
     b = _check_vector(g, d2, "multidegree")
     if sum(a) != sum(b):
         return False
-    z = [x - y for x, y in zip(a, b)]
-    _reduce(_lattice(g), z)
-    return not any(z)
+    return not any(_reduced(g, [x - y for x, y in zip(a, b)]))
 
 
 def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
@@ -216,7 +280,7 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
     z = list(_check_vector(g, t, "multidegree"))
     d = sum(z)
     z[0] -= d
-    _reduce(_lattice(g), z)
+    z = _reduced(g, z)
     z[0] += d
     return tuple(z)
 
@@ -234,17 +298,17 @@ def enumerate_classes(g: CurveGraph, d: int) -> list[Multidegree]:
     """The canonical representatives (see multidegree_class) of all degree
     classes of total degree d, in a deterministic order.
 
-    Walks the Hermite fundamental domain: pivot rows 0..gamma-2 range over
-    their residues, the last row (the balancing row) brings the total to
-    zero, and the whole vector is shifted to total degree d along the first
-    coordinate.  More than LISTING_LIMIT classes raises ValueError instead
-    of exhausting memory.
+    Walks the Hermite fundamental domain of X': pivot rows 0..P-2 range
+    over their residues, the balancing row brings the total to zero, and
+    the vector is placed on X (_place) and shifted to total degree d along
+    the first coordinate.  More than LISTING_LIMIT classes raises
+    ValueError instead of exhausting memory.
     """
-    pivots = [val for val, _, _ in _lattice(g)]
+    pivots = [val for val, _, _ in _lattice(g.contracted)]
     _check_listing("the curve", "degree classes", ((val, 1) for val in pivots))
     out = []
     for residues in itertools.product(*(range(val) for val in pivots)):
-        z = [*residues, -sum(residues)]
+        z = _place(g, [*residues, -sum(residues)])
         z[0] += d
         out.append(tuple(z))
     return out

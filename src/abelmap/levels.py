@@ -12,11 +12,10 @@ different levels; these are the nodes where the twisting line bundle
 actually jumps.  D is a sum of tails (plus a multiple of X) exactly when
 all its crossings are separating nodes, and the first Betti number of the
 contraction onto the crossing set measures how many independent twisters
-realize the same multidegree.  piece_totals is the map pi onto the
-components of X' = CurveGraph.contracted; t is a sum-of-tails multidegree
-exactly when pi(t) = 0, with no lattice (abel.is_natural states the
-reduction to X').  The degree bounds a level expression forces on its base
-subcurve are checked by the test suite.
+realize the same multidegree.  t is a sum-of-tails multidegree exactly
+when pi(t) = lattice.piece_totals(g, t) = 0, with no lattice.  The degree
+bounds a level expression forces on its base subcurve are checked by the
+test suite.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Iterable
 
 from . import graph as gr
 from .graph import CurveGraph, NodeSet
-from .lattice import _check_vector, twister_divisor
+from .lattice import _check_vector, piece_totals, twister_divisor
 
 
 def crossing_nodes(g: CurveGraph, d: Iterable[int]) -> NodeSet:
@@ -51,19 +50,6 @@ def is_sum_of_tails(g: CurveGraph, d: Iterable[int]) -> bool:
     Equivalent to: every crossing node of D is separating.
     """
     return crossing_nodes(g, d) <= g.bridges
-
-
-def piece_totals(g: CurveGraph, t: Iterable[int]) -> tuple[int, ...]:
-    """pi(t): entry k is the total of t on piece k, component k of X'.
-
-    >>> g = CurveGraph(["C1", "C2", "C3"], [(0, 1), (1, 2), (1, 2)])
-    >>> piece_totals(g, (3, -1, 2)), piece_totals(g, (-1, 1, 0))  # C1 is a tail
-    ((2, 2), (0, 0))
-    """
-    totals = dict.fromkeys(g.pieces, 0)
-    for p, x in zip(g.pieces, _check_vector(g, t, "multidegree")):
-        totals[p] += x
-    return tuple(totals.values())
 
 
 def is_sum_of_tails_multidegree(g: CurveGraph, t: Iterable[int]) -> bool:

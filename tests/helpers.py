@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
@@ -12,12 +13,15 @@ from abelmap import (
     DisconnectedCurveError,
     NotATwisterError,
     crossing_nodes_of_multidegree,
-    multidegree_class,
     normalize_divisor,
     partitional_multidegrees,
     twister_divisor,
 )
-from abelmap.levels import piece_totals
+from abelmap.lattice import _lattice, _reduce, piece_totals
+
+# X's own Hermite basis, for the dense oracles below, in a cache of its own
+# so that it does not evict the library's basis of X'
+_dense_lattice = lru_cache(maxsize=1)(_lattice.__wrapped__)
 
 
 def two_component(delta: int, loops: tuple = ()) -> CurveGraph:
@@ -286,9 +290,60 @@ def is_natural_by_piece_totals(g: CurveGraph, d: int, reps=None) -> bool:
     """
     table: dict = {}
     if reps is not None:
-        table = {multidegree_class(g, r): piece_totals(g, r) for r in reps}
+        table = {dense_class(g, r): piece_totals(g, r) for r in reps}
     for p in partitional_multidegrees(g.gamma, d):
         totals = piece_totals(g, p)
-        if table.setdefault(multidegree_class(g, p), totals) != totals:
+        if table.setdefault(dense_class(g, p), totals) != totals:
             return False
     return True
+
+
+def dense_class(g: CurveGraph, t) -> tuple:
+    """multidegree_class reduced against X's own Hermite basis."""
+    z = list(t)
+    d = sum(z)
+    z[0] -= d
+    _reduce(_dense_lattice(g), z)
+    z[0] += d
+    return tuple(z)
+
+
+def dense_classes(g: CurveGraph, d: int) -> list:
+    """enumerate_classes walking the pivots of X's own Hermite basis."""
+    out = []
+    for residues in product(*(range(val) for val, _, _ in _dense_lattice(g))):
+        z = [*residues, -sum(residues)]
+        z[0] += d
+        out.append(tuple(z))
+    return out
+
+
+def dense_twister_divisor(g: CurveGraph, t):
+    """twister_divisor from X's own basis: the reduction quotients weight
+    the basis preimages.  None when t is outside the lattice."""
+    basis = _dense_lattice(g)
+    residue = list(t)
+    quotients = _reduce(basis, residue)
+    if any(residue):
+        return None
+    x = [0] * g.gamma
+    for q, (*_, pre) in zip(quotients, basis):
+        x = [a + q * b for a, b in zip(x, pre)]
+    return normalize_divisor(x)
+
+
+def dense_not_a_twister_text(g: CurveGraph, t) -> str:
+    """The NotATwisterError message for t, naming X's own basis columns."""
+    cols = "; ".join(str(col) for _, col, _ in _dense_lattice(g))
+    where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
+    return f"{tuple(t)} is not a twister multidegree ({where})"
+
+
+def choose_representatives_by_gamma(g: CurveGraph, d: int) -> dict:
+    """choose_representatives over the partitional multidegrees of length
+    gamma, classed on X's own basis: each class keeps its first
+    (lex-smallest) partitional member."""
+    first: dict = {}
+    for p in partitional_multidegrees(g.gamma, d):
+        first.setdefault(dense_class(g, p), p)
+    return {c: first.get(c, c) for c in dense_classes(g, d)}

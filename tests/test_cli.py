@@ -492,17 +492,41 @@ def test_bridge_heavy_curves_answer_fast(graph_file, capsys):
     edges += [(1999, 2000), (2000, 2001), (1999, 2001)] * 2
     g = CurveGraph([f"C{i + 1}" for i in range(2002)], edges)
     f = graph_file(serialize_graph(g))
+    p = graph_file(serialize_graph(path(2000)), "path.json")
+
+    def vector(entries):  # {component index: entry}, 0 elsewhere
+        return ",".join(str(entries.get(i, 0)) for i in range(2002))
+
+    # t is the multidegree of 1 on C1..C1000 and on C2002: it crosses the
+    # separating node 999 and the four nodes 2000, 2001, 2003, 2004 at C2002
+    t = vector({999: -1, 1000: 1, 1999: 2, 2000: 2, 2001: -4})
+    divisor = [1] * 1000 + [0] * 1001 + [1]
+    outputs = {}
     for argv, key, value in (
         (["info", f], "class_group_order", 12),
         (["verify", f, "--degree", "1"], "agree", True),
         (["verify", f, "--degree", "4"], "pairwise_certified", False),
         (["is-natural", f, "--degree", "3"], "natural", True),
+        (["classes", f, "--degree", "1"], "count", 12),
+        (["equiv", f, "--d1", vector({0: 1}), "--d2", vector({1999: 1})], "equivalent", True),
+        (["canonical-rep", f, "--t", t], "divisor", divisor),
+        (["twister-dim", f, "--t", t], "dim", 3),
+        (["s-set", f, "--t", t], "crossing_nodes", [999, 2000, 2001, 2003, 2004]),
+        (["choose-reps", f, "--degree", "1"], "degree", 1),
+        (["classes", p, "--degree", "3"], "classes", [[3] + [0] * 1999]),
     ):
         start = time.perf_counter()
         assert main([*argv, "--json"]) == 0
         assert time.perf_counter() - start < 2, argv
         out = _json_out(capsys)["outputs"]
         assert out[key] == value and out.get("agree", True), (argv, out)
+        outputs[argv[0], argv[1]] = out
+    # epsilon 4 > 1: three classes have a partitional member, the lex-smallest
+    # being one point on the last component of a piece
+    reps = outputs["choose-reps", f]
+    assert reps["classes"] == outputs["classes", f]["classes"]
+    partitional = sorted(r for r in reps["reps"] if min(r) >= 0)
+    assert partitional == [[int(i == k) for i in range(2002)] for k in (2001, 2000, 1999)]
 
 
 def test_harness_failures_report(monkeypatch, capsys):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -100,15 +102,31 @@ def test_pieces_examples():
 
 
 def test_contracted_examples():
-    # pieces are numbered in order of their first component, and piece k is
+    # pieces are numbered in order of their last component, and piece k is
     # component k of X', labelled by its first component
     g = CurveGraph(["A", "B", "C", "D"], [(0, 1), (1, 2), (2, 3), (1, 3), (3, 3)])
     assert g.pieces == (0, 0, 1, 2)
     assert g.contracted == CurveGraph(["A", "C", "D"], [(0, 1), (1, 2), (0, 2), (2, 2)])
-    assert triangle_with_pendant().pieces == (0, 1, 2, 0)
+    assert triangle_with_pendant().pieces == (2, 0, 1, 2)
     assert path(4).contracted == CurveGraph(["C1"], [])
     c = cycle(3)
     assert c.contracted is c and c.contracted.contracted is c
+
+
+def test_reading_contracted_makes_no_reference_cycle():
+    # a bridgeless curve is its own X'; caching it on the curve would make a
+    # cycle that only the cyclic garbage collector frees
+    gc.disable()
+    try:
+        for make in (cycle, path):
+            g = make(4)
+            x = g.contracted
+            assert x.contracted is x
+            refs = weakref.ref(g), weakref.ref(x)
+            del g, x
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @settings(deadline=None)

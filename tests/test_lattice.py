@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,7 @@ from abelmap import (
     CurveGraph,
     LatticeSelfCheckError,
     NotATwisterError,
+    choose_representatives,
     class_group_order,
     enumerate_classes,
     equivalent,
@@ -34,8 +36,14 @@ from abelmap.harness import connected_multigraphs
 from abelmap.intlinalg import row_hnf
 from abelmap.lattice import LISTING_LIMIT
 from helpers import (
+    bridges_by_removal,
+    choose_representatives_by_gamma,
     connected_graphs,
     cycle,
+    dense_class,
+    dense_classes,
+    dense_not_a_twister_text,
+    dense_twister_divisor,
     doubled_cycle,
     multidegree_by_pairing_matrix,
     path,
@@ -251,6 +259,43 @@ def test_equivalent_matches_twister_membership_oracle():
                         twister_divisor(g, diff)
 
 
+def test_the_lift_of_the_contracted_basis_is_the_dense_basis(monkeypatch):
+    # every class question reduces on X' = g.contracted and places the result
+    # on X; the oracle is X's own Hermite basis, _lattice(g).  No library call
+    # builds a lattice for a curve with a separating node.
+    built = set()
+    dense_lattice = lattice._lattice
+    monkeypatch.setattr(lattice, "_lattice", lambda g: built.add(g) or dense_lattice(g))
+    rng = random.Random(16)
+    graphs = bridged = 0
+    for g in connected_multigraphs(5, 8):
+        graphs += 1
+        bridged += bool(bridges_by_removal(g))
+        assert not bridges_by_removal(g.contracted)
+        for d in (0, 1, 3):
+            assert enumerate_classes(g, d) == dense_classes(g, d), (g, d)
+        for d in (1, 2, 3):
+            assert choose_representatives(g, d) == choose_representatives_by_gamma(g, d)
+        for _ in range(3):
+            t, u = (tuple(rng.randint(-3, 3) for _ in g.components) for _ in "tu")
+            assert multidegree_class(g, t) == dense_class(g, t), (g, t)
+            same = sum(t) == sum(u) and dense_class(g, t) == dense_class(g, u)
+            assert equivalent(g, t, u) == same
+            twist = multidegree_of(g, u)  # a lattice vector
+            assert equivalent(g, t, [a + b for a, b in zip(t, twist)])
+            assert twister_divisor(g, twist) == dense_twister_divisor(g, twist) \
+                == normalize_divisor(u)
+            z = (*t[:-1], -sum(t[:-1]))  # total zero, in the lattice or not
+            if dense_twister_divisor(g, z) is None:
+                with pytest.raises(NotATwisterError) as info:
+                    twister_divisor(g, z)
+                assert str(info.value) == dense_not_a_twister_text(g, z)
+            else:
+                assert twister_divisor(g, z) == dense_twister_divisor(g, z)
+    assert (graphs, bridged) == (3300, 2525)
+    assert built and not any(bridges_by_removal(x) for x in built)
+
+
 def _corrupt_hnf(mat):
     # shift the entry of the first row above the second pivot: the pivots and
     # their product stay, but the first column no longer matches its preimage
@@ -336,3 +381,30 @@ def test_round_trip_check_survives_python_O():
     )
     assert proc.stdout == "divisor (0, 1) found for (1, -1) has another multidegree\n", (
         proc.stdout, proc.stderr)
+
+
+def test_round_trip_check_survives_python_O_past_separating_nodes():
+    # the divisor is pieced together from X''s divisor and the tails; a
+    # wrong multidegree_of must still surface under python -O
+    script = textwrap.dedent("""
+        from abelmap import lattice
+        from abelmap.graph import CurveGraph
+
+        g = CurveGraph(["A", "B", "C", "D"], [(0, 1), (1, 2), (2, 3), (1, 3), (3, 3)])
+        print(lattice.twister_divisor(g, (1, -2, 2, -1)))
+        lattice.multidegree_of = lambda g, d: (0, 0, 0, 0)
+        try:
+            lattice.twister_divisor(g, (1, -2, 2, -1))
+        except lattice.LatticeSelfCheckError as exc:
+            print(exc)
+    """)
+    src = str(Path(abelmap.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.stdout == (
+        "(0, 1, 0, 1)\n"
+        "divisor (0, 1, 0, 1) found for (1, -2, 2, -1) has another multidegree\n"
+    ), (proc.stdout, proc.stderr)
