@@ -12,6 +12,9 @@ slots onto themselves makes it lex-smaller.  That relabeling's image on the
 first k slots depends only on the prefix, so it makes every completion
 lex-smaller too, and no orbit minimum is lost.  At k = all slots every
 relabeling qualifies: the full orbit-minimum test, run on connected vectors.
+
+Both routes of the cross-check read only the pairing matrix of X' (loops are
+inert), so run_harness decides each distinct one once.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .abel import _check_partitional, cross_check_naturality, is_natural
+from .abel import _check_partitional, cross_check_naturality, essential_connectivity, is_natural
 from .graph import CurveGraph, _components
 from .lattice import _check_listing
 
-BATCH_PER_WORKER = 128  # graphs handed to the process pool per worker at once
+BATCH_PER_WORKER = 128  # graphs per worker at once; only their new X' reach the pool
 
 
 def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
@@ -114,11 +117,14 @@ class HarnessResult:
         return not self.failures
 
 
-def _failures(g: CurveGraph, max_degree: int) -> list:
+def _disagreements(x: CurveGraph, max_degree: int) -> list:
+    # every curve has a natural degree-1 Abel map ([CE]): no cut of X' is below 2
+    if essential_connectivity(x) < 2:
+        raise RuntimeError(f"essential connectivity below 2 on {x!r}")
     return [
-        (g.components, g.edges, d, is_natural(g, d))
+        (d, is_natural(x, d))
         for d in range(1, max_degree + 1)
-        if not cross_check_naturality(g, d)
+        if not cross_check_naturality(x, d)
     ]
 
 
@@ -127,9 +133,10 @@ def run_harness(
 ) -> HarnessResult:
     """cross_check_naturality over every enumerated graph and degree.
 
-    jobs > 1 spreads the graphs, BATCH_PER_WORKER per worker at a time, over
-    a process pool of at most os.cpu_count() workers; graphs are independent
-    and the result is order-insensitive (failures are sorted).
+    Each distinct pairing matrix of X' = g.contracted is decided once and its
+    failures given to every graph that shares it.  jobs > 1 sends each batch's
+    new X' (BATCH_PER_WORKER graphs per worker) to a process pool of at most
+    os.cpu_count() workers; the failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -137,16 +144,20 @@ def run_harness(
         raise ValueError("jobs must be >= 1")
     # a cycle or a double node has the most pieces: refuse their degrees now
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
-    check = functools.partial(_failures, max_degree=max_degree)
+    check = functools.partial(_disagreements, max_degree=max_degree)
     graphs_in = connected_multigraphs(max_gamma, max_edges)
     workers = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     graphs, failures = 0, []
+    decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
     with pool or contextlib.nullcontext():
         mapper = functools.partial(pool.map, chunksize=16) if pool else map
         # Executor.map submits its whole input before yielding: one batch at a time
         while batch := list(itertools.islice(graphs_in, BATCH_PER_WORKER * workers)):
             graphs += len(batch)
-            for fails in mapper(check, batch):
-                failures.extend(fails)
+            keys = [g.contracted.pairing_matrix for g in batch]
+            new = {m: g.contracted for m, g in zip(keys, batch) if m not in decided}
+            decided.update(zip(new, mapper(check, new.values())))
+            for g, m in zip(batch, keys):
+                failures += [(g.components, g.edges, d, yes) for d, yes in decided[m]]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

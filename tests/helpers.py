@@ -13,10 +13,12 @@ from abelmap import (
     DisconnectedCurveError,
     NotATwisterError,
     crossing_nodes_of_multidegree,
+    is_natural,
     normalize_divisor,
     partitional_multidegrees,
     twister_divisor,
 )
+from abelmap.harness import connected_multigraphs
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
 # X's own Hermite basis, for the dense oracles below, in a cache of its own
@@ -347,3 +349,15 @@ def choose_representatives_by_gamma(g: CurveGraph, d: int) -> dict:
     for p in partitional_multidegrees(g.gamma, d):
         first.setdefault(dense_class(g, p), p)
     return {c: first.get(c, c) for c in dense_classes(g, d)}
+
+
+def harness_failures_by_graph(max_gamma: int, max_edges: int, max_degree: int, check) -> tuple:
+    """run_harness's failures with nothing shared between graphs: check, in
+    place of cross_check_naturality, on each graph's own contracted curve,
+    and the class route's verdict on the graph itself."""
+    return tuple(sorted(
+        (g.components, g.edges, d, is_natural(g, d))
+        for g in connected_multigraphs(max_gamma, max_edges)
+        for d in range(1, max_degree + 1)
+        if not check(g.contracted, d)
+    ))

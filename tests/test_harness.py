@@ -13,7 +13,9 @@ from abelmap import (
     class_group_order,
     cross_check_naturality,
     essential_connectivity,
+    has_natural_abel_map,
     harness,
+    is_natural,
     lattice,
 )
 from abelmap.harness import (
@@ -21,7 +23,7 @@ from abelmap.harness import (
     connected_multigraphs,
     run_harness,
 )
-from helpers import canonical_vectors_by_min
+from helpers import canonical_vectors_by_min, harness_failures_by_graph
 
 
 def test_small_counts_by_hand():
@@ -302,4 +304,47 @@ def test_run_harness_feeds_the_pool_bounded_batches(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_harness(4, 6, 1, jobs=2) == serial
     assert len(_EagerPool.inputs) > 1 and max(_EagerPool.inputs) <= bound
-    assert sum(_EagerPool.inputs) == serial.graphs
+    assert sum(_EagerPool.inputs) == len(
+        {g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)}
+    )
+
+
+def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
+    # the oracle for run_harness's key: each graph decided on its own agrees
+    # with every graph whose X' has the same pairing matrix
+    verdicts: dict = {}
+    for g in connected_multigraphs(5, 8):
+        got = tuple((is_natural(g, d), has_natural_abel_map(g, d)) for d in range(1, 5))
+        verdicts.setdefault(g.contracted.pairing_matrix, set()).add(got)
+    assert len(verdicts) == 403
+    assert all(len(v) == 1 for v in verdicts.values())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch, jobs):
+    calls = []
+
+    def disagree_on_some(x, d):  # reads X' only through its pairing matrix
+        calls.append((x.pairing_matrix, d))
+        m = x.pairing_matrix
+        return (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 != 0
+
+    expected = harness_failures_by_graph(4, 6, 3, disagree_on_some)
+    distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
+    monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "workers", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls.clear()
+    result = run_harness(4, 6, 3, jobs=jobs)
+    assert 0 < len(expected) < result.checks and result.failures == expected
+    assert len(calls) == len(set(calls)) == distinct * 3
+    assert _InProcessPool.workers == ([2] if jobs == 2 else [])
+
+
+def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkeypatch):
+    # X' is bridgeless, so no cut is below 2; the check raises rather than
+    # asserts, so it also runs under python -O
+    monkeypatch.setattr(abel, "_min_cut", lambda weight: 1)
+    with pytest.raises(RuntimeError, match="essential connectivity below 2"):
+        run_harness(3, 3, 1)
