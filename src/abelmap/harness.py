@@ -10,8 +10,15 @@ Rejection is orderly (Read, "Every one a winner", 1978): a prefix of k
 multiplicities is dropped as soon as a relabeling that maps the first k
 slots onto themselves makes it lex-smaller.  That relabeling's image on the
 first k slots depends only on the prefix, so it makes every completion
-lex-smaller too, and no orbit minimum is lost.  At k = all slots every
-relabeling qualifies: the full orbit-minimum test, run on connected vectors.
+lex-smaller too, and no orbit minimum is lost.  Slots fill row by row, so
+once row r < gamma - 1 is filled, a class whose largest vertex is r is
+complete and misses gamma - 1; and a node joins two classes at most.  So a
+prefix is dropped there, or with more classes - 1 than nodes left, and
+every full vector left is connected.  At the leaf, key(u), u's loop count
+(with loops) and then its other multiplicities sorted, is the least row 0
+a relabeling sending u to 0 gives: a key below row 0 rejects, and only the
+relabelings that send to 0 a u with key(u) = row 0 are run (McKay,
+"Practical graph isomorphism", 1981).
 
 Both routes of the cross-check read only the pairing matrix of X' (loops are
 inert), so run_harness decides each distinct one once.
@@ -29,7 +36,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .abel import _check_partitional, cross_check_naturality, essential_connectivity, is_natural
-from .graph import CurveGraph, _components
+from .graph import CurveGraph
 from .lattice import _check_listing
 
 BATCH_PER_WORKER = 128  # graphs per worker at once; only their new X' reach the pool
@@ -44,41 +51,58 @@ def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
 
 
 def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
-    # tables[k]: one itemgetter per distinct non-identity relabeling of the
-    # first k slots by a vertex permutation that maps them onto themselves
+    # tables[k], k < len(slots): one itemgetter per distinct non-identity
+    # relabeling of the first k slots by a vertex permutation that maps them
+    # onto themselves; tables[-1][u]: those of all slots that send u to 0
+    n = len(slots)
     index = {s: k for k, s in enumerate(slots)}
-    images = [{} for _ in range(len(slots) + 1)]  # dicts keep first-seen order
+    images = [{} for _ in range(n)]  # dicts keep first-seen order
+    groups = [{} for _ in range(gamma)]
     for perm in itertools.permutations(range(gamma)):
-        image = [0] * len(slots)
+        image = [0] * n
         for k, (i, j) in enumerate(slots):
             a, b = perm[i], perm[j]
             image[index[(a, b) if a <= b else (b, a)]] = k
-        for k, top in enumerate(itertools.accumulate(image, max), 1):
+        for k, top in enumerate(itertools.accumulate(image[:-1], max), 1):
             if top == k - 1:  # k distinct indices below k are range(k)
                 images[k][tuple(image[:k])] = None
+        groups[perm.index(0)][tuple(image)] = None
     return [
         [itemgetter(*im) for im in ims if im != tuple(range(k))]
         for k, ims in enumerate(images)
-    ]
+    ] + [[[itemgetter(*im) for im in ims if im != tuple(range(n))] for ims in groups]]
 
 
 def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tuple]:
     slots = _slots(gamma, loops)
     tables = _perm_getters(gamma, slots)
     n = len(slots)
+    rows = [[k for k, s in enumerate(slots) if u in s] for u in range(gamma)]  # u's slots
 
-    def rec(prefix: tuple, budget: int) -> Iterator[tuple]:
+    # last[v]: the largest vertex of v's class under the nodes so far
+    def rec(prefix: tuple, budget: int, last: tuple, classes: int) -> Iterator[tuple]:
         if len(prefix) == n:
-            connected = len(set(_components(gamma, itertools.compress(slots, prefix)))) == 1
-            if connected and not any(g(prefix) < prefix for g in tables[n]):
-                yield prefix
+            row = [prefix[k] for k in rows[0]]  # row 0, the first block
+            for u, group in enumerate(tables[n]):
+                mult = [prefix[k] for k in rows[u]]  # u's loop, if any, is at position u
+                key = mult[u : u + loops] + sorted(mult[:u] + mult[u + loops :])
+                if key < row or key == row and any(g(prefix) < prefix for g in group):
+                    return
+            yield prefix
             return
         if any(g(prefix) < prefix for g in tables[len(prefix)]):
             return
-        for m in range(budget + 1):
-            yield from rec(prefix + (m,), budget - m)
+        i, j = slots[len(prefix)]
+        lo, hi = sorted((last[i], last[j]))
+        joined = classes - (lo != hi)
+        # a list, not a generator: tuple() resizes those, and the tuple free list keeps them
+        merged = last if lo == hi else tuple([hi if c == lo else c for c in last])
+        if not (i < j == gamma - 1 and last[i] == i):  # a 0 ends row i: i's class closes
+            yield from rec(prefix + (0,), budget, last, classes)
+        for m in range(1, budget - joined + 2):  # a later node joins two classes at most
+            yield from rec(prefix + (m,), budget - m, merged, joined)
 
-    return rec((), max_edges)
+    return rec((), max_edges, tuple(range(gamma)), gamma)
 
 
 def connected_multigraphs(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 import pytest
 
@@ -23,7 +23,8 @@ from abelmap.harness import (
     connected_multigraphs,
     run_harness,
 )
-from helpers import canonical_vectors_by_min, harness_failures_by_graph
+from abelmap.graph import _components
+from helpers import _bounded_vectors, canonical_vectors_by_min, harness_failures_by_graph
 
 
 def test_small_counts_by_hand():
@@ -67,30 +68,102 @@ def test_early_exit_canonicity_matches_orbit_minimum(loops):
 @pytest.mark.parametrize("loops", [True, False])
 def test_prefix_tables_fix_their_prefix(loops):
     # the pruning is sound only if each prefix-k relabeling permutes the
-    # first k slots among themselves
+    # first k slots among themselves; the leaf table holds every relabeling
+    # once, in the group of the vertex it sends to 0
     for gamma in range(1, 6):
         slots = harness._slots(gamma, loops)
         n = len(slots)
-        tables = harness._perm_getters(gamma, slots)
-        assert len(tables) == n + 1
+        *tables, groups = harness._perm_getters(gamma, slots)
+        assert len(tables) == n and len(groups) == gamma
         for k, table in enumerate(tables):
             images = [g(tuple(range(k))) for g in table]
             assert len(set(images)) == len(images)
             for image in images:
                 assert sorted(image) == list(range(k)) and image != tuple(range(k))
         index = {s: k for k, s in enumerate(slots)}
-        every = set()
+        sent_to_0 = {}  # full image -> the vertices its relabelings send to 0
         for perm in permutations(range(gamma)):
             image = [0] * n
             for k, (i, j) in enumerate(slots):
                 image[index[tuple(sorted((perm[i], perm[j])))]] = k
-            every.add(tuple(image))
-        assert {g(tuple(range(n))) for g in tables[n]} == every - {tuple(range(n))}
+            sent_to_0.setdefault(tuple(image), set()).add(perm.index(0))
+        leaf = [(u, g(tuple(range(n)))) for u, group in enumerate(groups) for g in group]
+        assert sorted(image for _, image in leaf) == sorted(set(sent_to_0) - {tuple(range(n))})
+        for u, image in leaf:
+            assert u in sent_to_0[image]
+
+
+def _connected(gamma, slots, vec):
+    return len(set(_components(gamma, compress(slots, vec)))) == 1
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_pruned_prefixes_have_no_connected_completion(monkeypatch, loops):
+    # spies record each prefix that meets its table (first) and each one the
+    # table lets through (last); a full vector meets group 0 first, since
+    # orbit pruning has sorted its row 0.  A child of a let-through prefix
+    # that met nothing was dropped for connectivity, so no completion of it
+    # within the budget may be connected.
+    getters = harness._perm_getters
+    met, passed = set(), set()
+
+    def spy(record):
+        def get(vec):
+            record.add(vec)
+            return vec  # never smaller: the real getters still decide
+
+        return get
+
+    def spied(gamma, slots):
+        *tables, groups = getters(gamma, slots)
+        groups[0] = [spy(met)] + groups[0]
+        return [[spy(met)] + table + [spy(passed)] for table in tables] + [groups]
+
+    monkeypatch.setattr(harness, "_perm_getters", spied)
+    for gamma, max_edges in [(2, 4), (3, 5), (4, 3), (4, 6)]:
+        met.clear()
+        passed.clear()
+        slots = harness._slots(gamma, loops)
+        got = list(_canonical_vectors(gamma, max_edges, loops))
+        assert got == canonical_vectors_by_min(gamma, max_edges, loops)
+        dropped = [
+            p + (m,) for p in passed for m in range(max_edges - sum(p) + 1) if p + (m,) not in met
+        ]
+        assert dropped and set(got) <= met
+        for p in dropped:
+            for rest in _bounded_vectors(len(slots) - len(p), max_edges - sum(p)):
+                assert not _connected(gamma, slots, p + rest), (gamma, p, rest)
+
+
+@pytest.mark.parametrize("loops", [True, False])
+def test_groups_passed_over_for_a_larger_key_hold_no_smaller_image(loops):
+    # key(u): u's loop count (with loops), then its other multiplicities
+    # sorted.  The leaf rejects on a key below row 0 and skips group u on a
+    # key above it; both must agree with the relabelings themselves.
+    skipped = rejected = 0
+    for gamma in range(2, 6):
+        slots = harness._slots(gamma, loops)
+        n = len(slots)
+        groups = harness._perm_getters(gamma, slots)[-1]
+        index = {s: k for k, s in enumerate(slots)}
+        pair = [[index.get((min(u, v), max(u, v))) for v in range(gamma)] for u in range(gamma)]
+        for vec in _bounded_vectors(n, 4 if n <= 10 else 3):
+            row = list(vec[: gamma if loops else gamma - 1])
+            for u, group in enumerate(groups):
+                key = [vec[pair[u][u]]] if loops else []
+                key += sorted(vec[pair[u][v]] for v in range(gamma) if v != u)
+                if key > row:
+                    skipped += 1
+                    assert all(g(vec) > vec for g in group), (vec, u)
+                elif key < row:
+                    rejected += 1
+                    assert any(g(vec) < vec for g in group), (vec, u)
+    assert skipped and rejected
 
 
 def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
-    # a full-length vector meets the full relabeling table only after it
-    # passed the connectivity test
+    # a full-length vector meets the leaf relabelings only if it is
+    # connected: the prefixes that cannot connect were dropped before
     getters = harness._perm_getters
     expected = {
         args: list(_canonical_vectors(*args)) for args in ((5, 7, True), (5, 8, False))
@@ -111,7 +184,7 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
 
             return checked
 
-        tables[-1] = [connected_only(get) for get in tables[-1]]
+        tables[-1] = [[connected_only(get) for get in group] for group in tables[-1]]
         return tables
 
     monkeypatch.setattr(harness, "_perm_getters", guarded)
@@ -124,6 +197,8 @@ def test_exact_graph_counts():
     assert sum(1 for _ in connected_multigraphs(5, 7)) == 1177
     assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
     assert sum(1 for _ in connected_multigraphs(6, 8, loops=False)) == 998
+    # gamma = 7: the 5040-relabeling leaf
+    assert sum(1 for _ in connected_multigraphs(7, 8, loops=False)) == 1418
 
 
 def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
