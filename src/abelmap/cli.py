@@ -13,7 +13,6 @@ predicate commands), 1 predicate false or harness failures, 2 error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -129,15 +128,14 @@ INT, VECTOR, PATH = "int", "vector", "path"
 class _Option:
     """An option of a subcommand; the runner parses VECTORs against g.gamma.
 
-    The report's inputs show an absent option as `absent` (None: left out).
+    Every option is shown in the report's inputs, an absent one as `absent`
+    (None: left out).
     """
 
     flag: str
     kind: str
     required: bool = True
-    default: object = None
     absent: object = None
-    reported: bool = True
     help: Optional[str] = None
 
 
@@ -309,14 +307,13 @@ HARNESS_OPTIONS = (
     _Option("--max-gamma", INT),
     _Option("--max-edges", INT),
     _Option("--max-degree", INT),
-    _Option("--jobs", INT, False, default=1, reported=False),
 )
 
 
 @_Command("harness", "exhaustive agreement sweep", HARNESS_OPTIONS, predicate="ok",
           needs_graph=False, text=_harness_text)
-def _harness(g, max_gamma: int, max_edges: int, max_degree: int, jobs: int) -> dict:
-    result = run_harness(max_gamma, max_edges, max_degree, jobs)
+def _harness(g, max_gamma: int, max_edges: int, max_degree: int) -> dict:
+    result = run_harness(max_gamma, max_edges, max_degree)
     keys = ("components", "edges", "degree", "natural_by_classes")
     failures = [dict(zip(keys, f)) for f in result.failures]
     return {
@@ -343,7 +340,7 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
             value = _parse_vector(value, g.gamma, opt.flag)
         values[dest] = value
         shown = opt.absent if value is None else value
-        if opt.reported and shown is not None:
+        if shown is not None:
             inputs[dest] = shown
     outputs = cmd.compute(g, **values)
     if args.json:
@@ -356,7 +353,6 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
     return 0 if cmd.predicate is None or outputs[cmd.predicate] else 1
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelmap",
@@ -374,18 +370,19 @@ def _build_parser() -> argparse.ArgumentParser:
                 opt.flag,
                 type=int if opt.kind == INT else None,
                 required=opt.required,
-                default=opt.default,
                 help=opt.help,
             )
         p.set_defaults(command=cmd)
     return parser
 
 
+PARSER = _build_parser()  # once per process, at import: main only parses
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        PARSER.print_help()
         return 2
     try:
         return _run(args.command, args)

@@ -21,16 +21,13 @@ relabelings that send to 0 a u with key(u) = row 0 are run (McKay,
 "Practical graph isomorphism", 1981).
 
 Both routes of the cross-check read only the pairing matrix of X' (loops are
-inert), so run_harness decides each distinct one once.
+inert), so run_harness decides each distinct one once, serially: graphs are
+enumerated BATCH at a time, then that batch's new X' are decided.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
@@ -39,7 +36,7 @@ from .abel import _check_partitional, cross_check_naturality, essential_connecti
 from .graph import CurveGraph
 from .lattice import _check_listing
 
-BATCH_PER_WORKER = 128  # graphs per worker at once; only their new X' reach the pool
+BATCH = 128  # graphs held at once; the batch's new X' are decided after it is read
 
 
 def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
@@ -152,36 +149,25 @@ def _disagreements(x: CurveGraph, max_degree: int) -> list:
     ]
 
 
-def run_harness(
-    max_gamma: int, max_edges: int, max_degree: int, jobs: int = 1
-) -> HarnessResult:
+def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
     """cross_check_naturality over every enumerated graph and degree.
 
     Each distinct pairing matrix of X' = g.contracted is decided once and its
-    failures given to every graph that shares it.  jobs > 1 sends each batch's
-    new X' (BATCH_PER_WORKER graphs per worker) to a process pool of at most
-    os.cpu_count() workers; the failures are sorted.
+    failures given to every graph that shares it.  At most BATCH graphs are
+    held at a time; the failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     # a cycle or a double node has the most pieces: refuse their degrees now
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
-    check = functools.partial(_disagreements, max_degree=max_degree)
     graphs_in = connected_multigraphs(max_gamma, max_edges)
-    workers = min(jobs, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     graphs, failures = 0, []
     decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
-    with pool or contextlib.nullcontext():
-        mapper = functools.partial(pool.map, chunksize=16) if pool else map
-        # Executor.map submits its whole input before yielding: one batch at a time
-        while batch := list(itertools.islice(graphs_in, BATCH_PER_WORKER * workers)):
-            graphs += len(batch)
-            keys = [g.contracted.pairing_matrix for g in batch]
-            new = {m: g.contracted for m, g in zip(keys, batch) if m not in decided}
-            decided.update(zip(new, mapper(check, new.values())))
-            for g, m in zip(batch, keys):
-                failures += [(g.components, g.edges, d, yes) for d, yes in decided[m]]
+    while batch := list(itertools.islice(graphs_in, BATCH)):
+        graphs += len(batch)
+        keys = [g.contracted.pairing_matrix for g in batch]
+        new = {m: g.contracted for m, g in zip(keys, batch) if m not in decided}
+        decided.update((m, _disagreements(x, max_degree)) for m, x in new.items())
+        for g, m in zip(batch, keys):
+            failures += [(g.components, g.edges, d, yes) for d, yes in decided[m]]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

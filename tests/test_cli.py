@@ -76,7 +76,7 @@ def _golden_cases() -> list:
             for mode in ([], ["--json"]):
                 cases.append((name, [cmd, "graph.json", *rest, *mode]))
     harness = ["harness", "--max-gamma", "2", "--max-edges", "3", "--max-degree", "2"]
-    cases += [(None, harness + ["--jobs", "1"]), (None, harness + ["--json"])]
+    cases += [(None, harness), (None, harness + ["--json"])]
     cases += [  # error paths: exit 2, message on stderr
         ("two_delta3", ["canonical-rep", "graph.json", "--t", "1,-1"]),
         ("two_delta3", ["twister-dim", "graph.json", "--t", "1,-1", "--json"]),
@@ -293,8 +293,30 @@ def test_not_a_twister_on_one_component_names_the_zero_lattice(graph_file, capsy
     )
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+def test_main_builds_no_parser(graph_file, monkeypatch, capsys):
+    # the parser is built once, at import; main only parses
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    f = graph_file({"components": ["A", "B"], "nodes": [["A", "B"], ["A", "B"]]})
+    assert main(["epsilon", f]) == 0
+    assert capsys.readouterr().out == "epsilon: 2\n"
+
+
+def test_importing_the_cli_starts_no_process_pool():
+    # a fresh interpreter: the harness is serial, so start-up loads no pool
+    src = str(Path(abelmap.__file__).parent.parent)
+    script = (
+        "import sys, abelmap.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_s_set_command(graph_file, capsys):
@@ -437,8 +459,10 @@ def test_harness_command(capsys):
     assert payload["outputs"]["ok"] is True
     assert payload["outputs"]["failures"] == []
     small = ["harness", "--max-gamma", "1", "--max-edges", "1", "--max-degree", "1"]
-    assert main(small + ["--jobs", "0"]) == 2
-    assert "jobs must be >= 1" in _one_line_error(capsys)
+    with pytest.raises(SystemExit) as exc:  # the harness has no --jobs option
+        main(small + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_harness_refuses_gamma_ten(monkeypatch, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, compress, permutations
 
 import pytest
@@ -288,12 +287,6 @@ def test_run_harness_small():
     assert res.graphs == len(list(connected_multigraphs(3, 4)))
 
 
-def test_run_harness_parallel_matches_serial():
-    serial = run_harness(3, 3, 2, jobs=1)
-    parallel = run_harness(3, 3, 2, jobs=2)
-    assert serial == parallel
-
-
 def test_run_harness_validates_bounds():
     with pytest.raises(ValueError, match="max_gamma must be >= 1"):
         run_harness(0, 3, 1)
@@ -329,59 +322,32 @@ def test_run_harness_builds_each_graph_once(monkeypatch):
     assert len(built) == res.graphs + bridged and res.graphs > bridged > 0
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    workers: list = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
-def test_run_harness_caps_workers_at_cpu_count(monkeypatch, cpus, pools):
-    serial = run_harness(3, 3, 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "workers", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert run_harness(3, 3, 2, jobs=100000) == serial
-    assert _InProcessPool.workers == pools
-    assert all(w <= (cpus or 1) for w in _InProcessPool.workers)
-
-
-class _EagerPool(_InProcessPool):
-    """Drains its whole input on map, as ProcessPoolExecutor.map does."""
-
-    inputs: list = []
-
-    def map(self, fn, iterable, chunksize=1):
-        items = list(iterable)
-        self.inputs.append(len(items))
-        return map(fn, items)
-
-
-def test_run_harness_feeds_the_pool_bounded_batches(monkeypatch):
+def test_run_harness_holds_one_batch_at_a_time(monkeypatch):
+    # X' with pairing matrix m is decided in the batch of the first graph
+    # that has m; by then at most BATCH graphs per batch started are read
+    graphs = list(connected_multigraphs(4, 6))
+    assert len(graphs) > 2 * harness.BATCH
+    first: dict = {}
+    for k, g in enumerate(graphs):
+        first.setdefault(g.contracted.pairing_matrix, k)
     serial = run_harness(4, 6, 1)
-    bound = harness.BATCH_PER_WORKER * 2
-    assert serial.graphs > bound
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _EagerPool)
-    monkeypatch.setattr(_EagerPool, "workers", [])
-    monkeypatch.setattr(_EagerPool, "inputs", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run_harness(4, 6, 1, jobs=2) == serial
-    assert len(_EagerPool.inputs) > 1 and max(_EagerPool.inputs) <= bound
-    assert sum(_EagerPool.inputs) == len(
-        {g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)}
-    )
+    yielded, seen = [0], []
+    enumerate_graphs, check = harness.connected_multigraphs, harness.cross_check_naturality
+
+    def counting(*args, **kwargs):
+        for g in enumerate_graphs(*args, **kwargs):
+            yielded[0] += 1
+            yield g
+
+    def watched(x, d):
+        seen.append((yielded[0], first[x.pairing_matrix] // harness.BATCH + 1))
+        return check(x, d)
+
+    monkeypatch.setattr(harness, "connected_multigraphs", counting)
+    monkeypatch.setattr(harness, "cross_check_naturality", watched)
+    assert run_harness(4, 6, 1) == serial
+    assert len(seen) == len(first) and seen[-1][1] > 2
+    assert all(n <= harness.BATCH * started for n, started in seen)
 
 
 def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
@@ -395,8 +361,7 @@ def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
     assert all(len(v) == 1 for v in verdicts.values())
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch, jobs):
+def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
     calls = []
 
     def disagree_on_some(x, d):  # reads X' only through its pairing matrix
@@ -407,14 +372,10 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch, jobs):
     expected = harness_failures_by_graph(4, 6, 3, disagree_on_some)
     distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
     monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "workers", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     calls.clear()
-    result = run_harness(4, 6, 3, jobs=jobs)
+    result = run_harness(4, 6, 3)
     assert 0 < len(expected) < result.checks and result.failures == expected
     assert len(calls) == len(set(calls)) == distinct * 3
-    assert _InProcessPool.workers == ([2] if jobs == 2 else [])
 
 
 def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkeypatch):
