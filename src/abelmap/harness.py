@@ -1,10 +1,9 @@
 """Exhaustive enumeration of small dual graphs and the agreement harness.
 
-Graphs are generated as multiplicity vectors over the unordered vertex
-pairs (loops included unless disabled) in lex order, and kept when the
-non-loop support is connected and no relabeling is lex-smaller: one vector,
-the orbit minimum, per isomorphism class.  Every checked property is
-isomorphism-invariant, so that covers all labeled graphs.
+A loopless graph is a multiplicity vector over the vertex pairs i < j, in
+lex order, kept when it is connected and no relabeling is lex-smaller: one
+vector, the orbit minimum, per isomorphism class.  Every checked property
+is isomorphism-invariant, so that covers all labeled graphs.
 
 Rejection is orderly (Read, "Every one a winner", 1978): a prefix of k
 multiplicities is dropped as soon as a relabeling that maps the first k
@@ -14,15 +13,16 @@ lex-smaller too, and no orbit minimum is lost.  Slots fill row by row, so
 once row r < gamma - 1 is filled, a class whose largest vertex is r is
 complete and misses gamma - 1; and a node joins two classes at most.  So a
 prefix is dropped there, or with more classes - 1 than nodes left, and
-every full vector left is connected.  At the leaf, key(u), u's loop count
-(with loops) and then its other multiplicities sorted, is the least row 0
-a relabeling sending u to 0 gives: a key below row 0 rejects, and only the
-relabelings that send to 0 a u with key(u) = row 0 are run (McKay,
-"Practical graph isomorphism", 1981).
+every full vector left is connected.  At the leaf, key(u), u's
+multiplicities sorted, is the least row 0 a relabeling sending u to 0
+gives: a key below row 0 rejects, and only the relabelings that send to 0
+a u with key(u) = row 0 are run (McKay, "Practical graph isomorphism",
+1981).
 
-Both routes of the cross-check read only the pairing matrix of X' (loops are
-inert), so run_harness decides each distinct one once, serially: graphs are
-enumerated BATCH at a time, then that batch's new X' are decided.
+Loops are counts per component on a loopless graph g, one count vector per
+orbit of g's automorphisms.  A loop enters no pairing and no cut, so
+run_harness decides g's X' (each distinct pairing matrix once) and counts
+g's loop placements, listing them only when X' fails.
 """
 
 from __future__ import annotations
@@ -36,15 +36,9 @@ from .abel import _check_partitional, cross_check_naturality, essential_connecti
 from .graph import CurveGraph
 from .lattice import _check_listing
 
-BATCH = 128  # graphs held at once; the batch's new X' are decided after it is read
 
-
-def _slots(gamma: int, loops: bool) -> list[tuple[int, int]]:
-    return [
-        (i, j)
-        for i in range(gamma)
-        for j in range(i if loops else i + 1, gamma)
-    ]
+def _slots(gamma: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(gamma), 2))
 
 
 def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
@@ -70,8 +64,8 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
     ] + [[[itemgetter(*im) for im in ims if im != tuple(range(n))] for ims in groups]]
 
 
-def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tuple]:
-    slots = _slots(gamma, loops)
+def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
+    slots = _slots(gamma)
     tables = _perm_getters(gamma, slots)
     n = len(slots)
     rows = [[k for k, s in enumerate(slots) if u in s] for u in range(gamma)]  # u's slots
@@ -79,10 +73,9 @@ def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tupl
     # last[v]: the largest vertex of v's class under the nodes so far
     def rec(prefix: tuple, budget: int, last: tuple, classes: int) -> Iterator[tuple]:
         if len(prefix) == n:
-            row = [prefix[k] for k in rows[0]]  # row 0, the first block
+            row = list(prefix[: gamma - 1])  # row 0, the first block
             for u, group in enumerate(tables[n]):
-                mult = [prefix[k] for k in rows[u]]  # u's loop, if any, is at position u
-                key = mult[u : u + loops] + sorted(mult[:u] + mult[u + loops :])
+                key = sorted([prefix[k] for k in rows[u]])
                 if key < row or key == row and any(g(prefix) < prefix for g in group):
                     return
             yield prefix
@@ -94,7 +87,7 @@ def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tupl
         joined = classes - (lo != hi)
         # a list, not a generator: tuple() resizes those, and the tuple free list keeps them
         merged = last if lo == hi else tuple([hi if c == lo else c for c in last])
-        if not (i < j == gamma - 1 and last[i] == i):  # a 0 ends row i: i's class closes
+        if not (j == gamma - 1 and last[i] == i):  # a 0 ends row i: i's class closes
             yield from rec(prefix + (0,), budget, last, classes)
         for m in range(1, budget - joined + 2):  # a later node joins two classes at most
             yield from rec(prefix + (m,), budget - m, merged, joined)
@@ -102,11 +95,45 @@ def _canonical_vectors(gamma: int, max_edges: int, loops: bool) -> Iterator[tupl
     return rec((), max_edges, tuple(range(gamma)), gamma)
 
 
+def _loop_placements(g: CurveGraph, budget: int) -> Iterator[tuple]:
+    # loop counts per component, totalling at most budget, each the least of
+    # its orbit under g's automorphisms: vertex permutations, since at
+    # gamma = 2 the swap fixes the one slot but moves a loop
+    m = g.pairing_matrix
+    n = len(m)
+    keys = [sorted(row) for row in m]
+
+    def automorphisms(perm: tuple) -> Iterator[tuple]:  # those that extend perm
+        u = len(perm)
+        if u == n:
+            yield perm
+            return
+        for v in range(n):
+            if keys[v] == keys[u] and v not in perm and all(m[u][w] == m[v][p] for w, p in enumerate(perm)):
+                yield from automorphisms(perm + (v,))
+
+    getters = [itemgetter(*p) for p in automorphisms(()) if p != tuple(range(n))]
+
+    def placements(prefix: tuple, budget: int) -> Iterator[tuple]:
+        if len(prefix) < n:
+            for count in range(budget + 1):
+                yield from placements(prefix + (count,), budget - count)
+        elif all(get(prefix) >= prefix for get in getters):
+            yield prefix
+
+    return placements((), budget)
+
+
+def _with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot order
+    return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
+
+
 def connected_multigraphs(
     max_gamma: int, max_edges: int, loops: bool = True
 ) -> Iterator[CurveGraph]:
     """All connected multigraphs with <= max_gamma vertices and <= max_edges
-    edges (loops count), one per isomorphism class, deterministic order.
+    edges (loops count), one per isomorphism class, deterministic order:
+    each loopless graph, then its loop placements.
 
     A connected graph on gamma vertices has at least gamma - 1 edges, so no
     gamma above max_edges + 1 is enumerated.  A largest gamma with more than
@@ -118,13 +145,15 @@ def connected_multigraphs(
     top = min(max_gamma, max_edges + 1)
     _check_listing(f"gamma {top}", "relabelings", ((k, 1) for k in range(2, top + 1)))
     for gamma in range(1, top + 1):
-        slots = _slots(gamma, loops)
+        slots = _slots(gamma)
         labels = [f"C{i + 1}" for i in range(gamma)]
-        for vec in _canonical_vectors(gamma, max_edges, loops):
-            edges = []
-            for slot, m in zip(slots, vec):
-                edges.extend([slot] * m)
-            yield CurveGraph(labels, edges)
+        for vec in _canonical_vectors(gamma, max_edges):
+            g = CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
+            if not loops:
+                yield g
+                continue
+            for counts in _loop_placements(g, max_edges - g.edge_count):
+                yield CurveGraph(labels, _with_loops(g, counts))
 
 
 @dataclass(frozen=True)
@@ -152,22 +181,22 @@ def _disagreements(x: CurveGraph, max_degree: int) -> list:
 def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
     """cross_check_naturality over every enumerated graph and degree.
 
-    Each distinct pairing matrix of X' = g.contracted is decided once and its
-    failures given to every graph that shares it.  At most BATCH graphs are
-    held at a time; the failures are sorted.
+    Each loopless graph stands for all its loop placements.  Each distinct
+    pairing matrix of X' = g.contracted is decided once and its failures
+    given to every graph that shares it; the failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     # a cycle or a double node has the most pieces: refuse their degrees now
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
-    graphs_in = connected_multigraphs(max_gamma, max_edges)
     graphs, failures = 0, []
     decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
-    while batch := list(itertools.islice(graphs_in, BATCH)):
-        graphs += len(batch)
-        keys = [g.contracted.pairing_matrix for g in batch]
-        new = {m: g.contracted for m, g in zip(keys, batch) if m not in decided}
-        decided.update((m, _disagreements(x, max_degree)) for m, x in new.items())
-        for g, m in zip(batch, keys):
-            failures += [(g.components, g.edges, d, yes) for d, yes in decided[m]]
+    for g in connected_multigraphs(max_gamma, max_edges, loops=False):
+        x = g.contracted
+        if x.pairing_matrix not in decided:
+            decided[x.pairing_matrix] = _disagreements(x, max_degree)
+        fails = decided[x.pairing_matrix]
+        for counts in _loop_placements(g, max_edges - g.edge_count):  # a record only on failure
+            graphs += 1
+            failures += [(g.components, _with_loops(g, counts), d, yes) for d, yes in fails]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

@@ -141,6 +141,28 @@ def connected_graphs(draw, max_gamma=9):
     return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
 
 
+def _relabelings(gamma: int, loops: bool) -> tuple:
+    # the vertex pairs (loops included when asked) and, per vertex
+    # permutation, the slot each slot is sent to
+    slots = [(i, j) for i in range(gamma) for j in range(i if loops else i + 1, gamma)]
+    index = {s: k for k, s in enumerate(slots)}
+    images = [
+        [index[tuple(sorted((perm[i], perm[j])))] for i, j in slots]
+        for perm in permutations(range(gamma))
+    ]
+    return slots, images
+
+
+def _orbit_minimum(vec, images) -> tuple:
+    relabeled = []
+    for image in images:
+        w = [0] * len(vec)
+        for k, m in zip(image, vec):
+            w[k] = m
+        relabeled.append(tuple(w))
+    return min(relabeled)
+
+
 def canonical_vectors_by_min(gamma: int, max_edges: int, loops: bool) -> list:
     """Isomorph rejection by the exact orbit minimum.
 
@@ -148,12 +170,7 @@ def canonical_vectors_by_min(gamma: int, max_edges: int, loops: bool) -> list:
     included when asked) with total at most max_edges is replaced by its
     lex minimum over all vertex relabelings; the distinct minima, sorted.
     """
-    slots = [(i, j) for i in range(gamma) for j in range(i if loops else i + 1, gamma)]
-    index = {s: k for k, s in enumerate(slots)}
-    images = [
-        [index[tuple(sorted((perm[i], perm[j])))] for i, j in slots]
-        for perm in permutations(range(gamma))
-    ]
+    slots, images = _relabelings(gamma, loops)
     labels = [f"C{i + 1}" for i in range(gamma)]
     minima = set()
     for vec in _bounded_vectors(len(slots), max_edges):
@@ -161,14 +178,16 @@ def canonical_vectors_by_min(gamma: int, max_edges: int, loops: bool) -> list:
             CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
         except DisconnectedCurveError:
             continue
-        relabeled = []
-        for image in images:
-            w = [0] * len(slots)
-            for k, m in zip(image, vec):
-                w[k] = m
-            relabeled.append(tuple(w))
-        minima.add(min(relabeled))
+        minima.add(_orbit_minimum(vec, images))
     return sorted(minima)
+
+
+def loopful_orbit_minimum(g: CurveGraph) -> tuple:
+    """g's multiplicity vector over the vertex pairs, loops included, at its
+    lex minimum over all vertex relabelings: canonical_vectors_by_min's
+    entry for g's isomorphism class."""
+    slots, images = _relabelings(g.gamma, True)
+    return _orbit_minimum([g.edges.count(s) for s in slots], images)
 
 
 def _bounded_vectors(n: int, budget: int):

@@ -23,7 +23,12 @@ from abelmap.harness import (
     run_harness,
 )
 from abelmap.graph import _components
-from helpers import _bounded_vectors, canonical_vectors_by_min, harness_failures_by_graph
+from helpers import (
+    _bounded_vectors,
+    canonical_vectors_by_min,
+    harness_failures_by_graph,
+    loopful_orbit_minimum,
+)
 
 
 def test_small_counts_by_hand():
@@ -49,28 +54,34 @@ def test_enumeration_is_deterministic_and_valid():
 def test_enumeration_dedups_isomorphic_relabelings():
     # path C1-C2-C3 and path C2-C1-C3 are isomorphic; only one canonical
     # vector may survive for the path shape
-    vecs = list(_canonical_vectors(3, 2, loops=False))
+    vecs = list(_canonical_vectors(3, 2))
     # slots (0,1),(0,2),(1,2): connected with 2 edges = path, up to iso
     assert vecs == [(0, 1, 1)]
 
 
 @pytest.mark.parametrize("loops", [True, False])
 def test_early_exit_canonicity_matches_orbit_minimum(loops):
+    # with loops, each yielded graph (a loopless graph and one of its loop
+    # placements) is taken to the orbit minimum of its vector over all
+    # pairs i <= j: every class once, and no class twice
     for gamma in range(1, 6):
         # with loops, gamma = 5 stops at five nodes, where the oracle
         # already takes about half a second
         for max_edges in range(6 if (gamma, loops) == (5, True) else 7):
-            got = list(_canonical_vectors(gamma, max_edges, loops))
+            if loops:
+                graphs = connected_multigraphs(gamma, max_edges)
+                got = sorted(loopful_orbit_minimum(g) for g in graphs if g.gamma == gamma)
+            else:
+                got = list(_canonical_vectors(gamma, max_edges))
             assert got == canonical_vectors_by_min(gamma, max_edges, loops), (gamma, max_edges)
 
 
-@pytest.mark.parametrize("loops", [True, False])
-def test_prefix_tables_fix_their_prefix(loops):
+def test_prefix_tables_fix_their_prefix():
     # the pruning is sound only if each prefix-k relabeling permutes the
     # first k slots among themselves; the leaf table holds every relabeling
     # once, in the group of the vertex it sends to 0
     for gamma in range(1, 6):
-        slots = harness._slots(gamma, loops)
+        slots = harness._slots(gamma)
         n = len(slots)
         *tables, groups = harness._perm_getters(gamma, slots)
         assert len(tables) == n and len(groups) == gamma
@@ -96,8 +107,7 @@ def _connected(gamma, slots, vec):
     return len(set(_components(gamma, compress(slots, vec)))) == 1
 
 
-@pytest.mark.parametrize("loops", [True, False])
-def test_pruned_prefixes_have_no_connected_completion(monkeypatch, loops):
+def test_pruned_prefixes_have_no_connected_completion(monkeypatch):
     # spies record each prefix that meets its table (first) and each one the
     # table lets through (last); a full vector meets group 0 first, since
     # orbit pruning has sorted its row 0.  A child of a let-through prefix
@@ -122,9 +132,9 @@ def test_pruned_prefixes_have_no_connected_completion(monkeypatch, loops):
     for gamma, max_edges in [(2, 4), (3, 5), (4, 3), (4, 6)]:
         met.clear()
         passed.clear()
-        slots = harness._slots(gamma, loops)
-        got = list(_canonical_vectors(gamma, max_edges, loops))
-        assert got == canonical_vectors_by_min(gamma, max_edges, loops)
+        slots = harness._slots(gamma)
+        got = list(_canonical_vectors(gamma, max_edges))
+        assert got == canonical_vectors_by_min(gamma, max_edges, False)
         dropped = [
             p + (m,) for p in passed for m in range(max_edges - sum(p) + 1) if p + (m,) not in met
         ]
@@ -134,23 +144,21 @@ def test_pruned_prefixes_have_no_connected_completion(monkeypatch, loops):
                 assert not _connected(gamma, slots, p + rest), (gamma, p, rest)
 
 
-@pytest.mark.parametrize("loops", [True, False])
-def test_groups_passed_over_for_a_larger_key_hold_no_smaller_image(loops):
-    # key(u): u's loop count (with loops), then its other multiplicities
-    # sorted.  The leaf rejects on a key below row 0 and skips group u on a
-    # key above it; both must agree with the relabelings themselves.
+def test_groups_passed_over_for_a_larger_key_hold_no_smaller_image():
+    # key(u): u's multiplicities sorted.  The leaf rejects on a key below
+    # row 0 and skips group u on a key above it; both must agree with the
+    # relabelings themselves.
     skipped = rejected = 0
     for gamma in range(2, 6):
-        slots = harness._slots(gamma, loops)
+        slots = harness._slots(gamma)
         n = len(slots)
         groups = harness._perm_getters(gamma, slots)[-1]
         index = {s: k for k, s in enumerate(slots)}
         pair = [[index.get((min(u, v), max(u, v))) for v in range(gamma)] for u in range(gamma)]
         for vec in _bounded_vectors(n, 4 if n <= 10 else 3):
-            row = list(vec[: gamma if loops else gamma - 1])
+            row = list(vec[: gamma - 1])
             for u, group in enumerate(groups):
-                key = [vec[pair[u][u]]] if loops else []
-                key += sorted(vec[pair[u][v]] for v in range(gamma) if v != u)
+                key = sorted(vec[pair[u][v]] for v in range(gamma) if v != u)
                 if key > row:
                     skipped += 1
                     assert all(g(vec) > vec for g in group), (vec, u)
@@ -164,9 +172,7 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
     # a full-length vector meets the leaf relabelings only if it is
     # connected: the prefixes that cannot connect were dropped before
     getters = harness._perm_getters
-    expected = {
-        args: list(_canonical_vectors(*args)) for args in ((5, 7, True), (5, 8, False))
-    }
+    expected = {args: list(_canonical_vectors(*args)) for args in ((4, 6), (5, 8))}
     seen = set()
 
     def guarded(gamma, slots):
@@ -308,46 +314,34 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 
 
 def test_run_harness_builds_each_graph_once(monkeypatch):
-    # each graph once, plus its contracted curve when it has a separating node
-    bridged = sum(bool(g.bridges) for g in connected_multigraphs(3, 4))
+    # when nothing fails: each loopless graph once, plus its contracted
+    # curve when it has a separating node, and no curve with a loop
+    bases = list(connected_multigraphs(4, 6, loops=False))
+    bridged = sum(bool(g.bridges) for g in bases)
     built = []
     init = CurveGraph.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def recording_init(self, components, edges):
+        init(self, components, edges)
+        built.append(self.edges)
 
-    monkeypatch.setattr(CurveGraph, "__init__", counting_init)
-    res = run_harness(3, 4, 2)
-    assert len(built) == res.graphs + bridged and res.graphs > bridged > 0
+    monkeypatch.setattr(CurveGraph, "__init__", recording_init)
+    res = run_harness(4, 6, 2)
+    assert res.ok and res.graphs > len(bases) > bridged > 0
+    assert len(built) == len(bases) + bridged
+    assert not any(a == b for edges in built for a, b in edges)
 
 
-def test_run_harness_holds_one_batch_at_a_time(monkeypatch):
-    # X' with pairing matrix m is decided in the batch of the first graph
-    # that has m; by then at most BATCH graphs per batch started are read
-    graphs = list(connected_multigraphs(4, 6))
-    assert len(graphs) > 2 * harness.BATCH
-    first: dict = {}
-    for k, g in enumerate(graphs):
-        first.setdefault(g.contracted.pairing_matrix, k)
-    serial = run_harness(4, 6, 1)
-    yielded, seen = [0], []
-    enumerate_graphs, check = harness.connected_multigraphs, harness.cross_check_naturality
-
-    def counting(*args, **kwargs):
-        for g in enumerate_graphs(*args, **kwargs):
-            yielded[0] += 1
-            yield g
-
-    def watched(x, d):
-        seen.append((yielded[0], first[x.pairing_matrix] // harness.BATCH + 1))
-        return check(x, d)
-
-    monkeypatch.setattr(harness, "connected_multigraphs", counting)
-    monkeypatch.setattr(harness, "cross_check_naturality", watched)
-    assert run_harness(4, 6, 1) == serial
-    assert len(seen) == len(first) and seen[-1][1] > 2
-    assert all(n <= harness.BATCH * started for n, started in seen)
+def test_run_harness_counts_every_loop_placement():
+    for bounds in [(1, 0), (2, 3), (4, 6), (7, 6)]:
+        assert run_harness(*bounds, 1).graphs == sum(1 for _ in connected_multigraphs(*bounds))
+    assert run_harness(2, 3, 1).graphs == 11
+    # the swap of two components fixes their one node but moves a loop:
+    # one node and one loop is one curve, not two
+    one_loop = [
+        g for g in connected_multigraphs(2, 3) if sorted(g.edges) in ([(0, 0), (0, 1)], [(0, 1), (1, 1)])
+    ]
+    assert len(one_loop) == 1
 
 
 def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
@@ -357,7 +351,7 @@ def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
     for g in connected_multigraphs(5, 8):
         got = tuple((is_natural(g, d), has_natural_abel_map(g, d)) for d in range(1, 5))
         verdicts.setdefault(g.contracted.pairing_matrix, set()).add(got)
-    assert len(verdicts) == 403
+    assert len(verdicts) == 304
     assert all(len(v) == 1 for v in verdicts.values())
 
 
@@ -384,3 +378,19 @@ def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkey
     monkeypatch.setattr(abel, "_min_cut", lambda weight: 1)
     with pytest.raises(RuntimeError, match="essential connectivity below 2"):
         run_harness(3, 3, 1)
+
+
+def test_run_harness_lists_every_loop_placement_of_a_failing_graph(monkeypatch):
+    # only the double node fails; on two components with up to two loops
+    # beside it, its four placements up to the swap are each listed once
+    def double_node_fails(x, d):
+        return x.pairing_matrix != ((-2, 2), (2, -2))
+
+    expected = harness_failures_by_graph(3, 4, 1, double_node_fails)
+    monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
+    result = run_harness(3, 4, 1)
+    assert result.failures == expected
+    two = [edges for components, edges, d, yes in result.failures if len(components) == 2]
+    loops = sorted(tuple(sorted(edges.count((i, i)) for i in (0, 1))) for edges in two)
+    assert loops == [(0, 0), (0, 1), (0, 2), (1, 1)]
+    assert len(result.failures) > len(two)  # a pendant component keeps X'
