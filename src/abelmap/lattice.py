@@ -26,7 +26,9 @@ X's fundamental domain is that of X' placed on the last components.
 A twister multidegree t is the multidegree of one divisor modulo X;
 twister_divisor returns it normalized to minimum coefficient 0 (the
 canonical divisor of t), and raises NotATwisterError for any t outside the
-lattice.  The level expression of t is read off that divisor.
+lattice, naming pi(t) and the nonzero residue its reduction on X' leaves (a
+witness of size O(gamma + P)).  The level expression of t is read off that
+divisor.
 
 All arithmetic is exact on Python ints.  Divisors and multidegrees are
 plain tuples of ints of length gamma.
@@ -54,21 +56,8 @@ class LatticeSelfCheckError(RuntimeError):
 
 
 class NotATwisterError(ValueError):
-    """t is not in the twister lattice; the message names its basis columns,
-    or says that the lattice is zero (a curve with one component)."""
-
-    def __init__(self, g: CurveGraph, t: Multidegree):
-        # X's Hermite columns, lifted: column r is v e_r plus -v e_r reduced,
-        # v being pivot k of X' if r is last in piece k, else 1
-        basis, last = _lattice(g.contracted), {k: r for r, k in enumerate(g.pieces)}
-        lifted = []
-        for r, k in enumerate(g.pieces[:-1]):
-            v = basis[k][0] if r == last[k] else 1
-            lifted.append(_reduced(g, [-v * (i == r) for i in range(g.gamma)]))
-            lifted[-1][r] = v
-        cols = "; ".join(str(tuple(col)) for col in lifted)
-        where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
-        super().__init__(f"{t} is not a twister multidegree ({where})")
+    """t is not in the twister lattice.  The message names the witness:
+    pi(t) and the nonzero residue that its Hermite reduction on X' leaves."""
 
 
 def _check_listing(owner: str, items: str, factors: Iterable[tuple]) -> None:
@@ -223,13 +212,22 @@ def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Divisor:
     expression of t is read off it: level m is the set of components with
     coefficient m.  Raises NotATwisterError when t is outside the lattice;
     every column sums to zero, so a nonzero total always leaves a residue.
+
+    >>> g = CurveGraph(["C1", "C2", "C3"], [(0, 1), (1, 2), (1, 2)])
+    >>> try:
+    ...     twister_divisor(g, (3, 0, -3))  # pieces {C1, C2} and {C3}
+    ... except NotATwisterError as no:
+    ...     print(no)
+    (3, 0, -3) is not a twister multidegree (piece totals (3, -3) reduce to (1, -1), not 0)
     """
     tv = _check_vector(g, t, "multidegree")
     basis = _lattice(g.contracted)
-    residue = list(piece_totals(g, tv))
+    totals = piece_totals(g, tv)
+    residue = list(totals)
     quotients = _reduce(basis, residue)
     if any(residue):
-        raise NotATwisterError(g, tv)
+        raise NotATwisterError(f"{tv} is not a twister multidegree (piece totals"
+                               f" {totals} reduce to {tuple(residue)}, not 0)")
     dx = [0] * len(residue)
     for q, (*_, pre) in zip(quotients, basis):
         dx = [a + q * b for a, b in zip(dx, pre)]

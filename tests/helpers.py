@@ -353,13 +353,6 @@ def dense_twister_divisor(g: CurveGraph, t):
     return normalize_divisor(x)
 
 
-def dense_not_a_twister_text(g: CurveGraph, t) -> str:
-    """The NotATwisterError message for t, naming X's own basis columns."""
-    cols = "; ".join(str(col) for _, col, _ in _dense_lattice(g))
-    where = f"lattice basis columns: {cols}" if cols else "the twister lattice is zero"
-    return f"{tuple(t)} is not a twister multidegree ({where})"
-
-
 def choose_representatives_by_gamma(g: CurveGraph, d: int) -> dict:
     """choose_representatives over the partitional multidegrees of length
     gamma, classed on X's own basis: each class keeps its first

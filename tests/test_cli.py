@@ -277,19 +277,20 @@ def test_natural_abel_at_scale_finishes(graph_file):
         assert f"epsilon: {eps}\n" in proc.stdout
 
 
-def test_canonical_rep_domain_error_shows_basis(graph_file, capsys):
+def test_canonical_rep_domain_error_shows_the_residue(graph_file, capsys):
     f = graph_file(TWO_DELTA3)
     assert main(["canonical-rep", f, "--t", "1,-1"]) == 2
     err = capsys.readouterr().err
     assert "not a twister multidegree" in err
-    assert "basis" in err
+    assert "reduce to (1, -1), not 0" in err
 
 
 def test_not_a_twister_on_one_component_names_the_zero_lattice(graph_file, capsys):
+    # the lattice is zero, so the residue is the total itself
     f = graph_file({"components": ["A"], "nodes": [["A", "A"]]})
     assert main(["canonical-rep", f, "--t", "1"]) == 2
     assert _one_line_error(capsys) == (
-        "error: (1,) is not a twister multidegree (the twister lattice is zero)\n"
+        "error: (1,) is not a twister multidegree (piece totals (1,) reduce to (1,), not 0)\n"
     )
 
 
@@ -551,6 +552,15 @@ def test_bridge_heavy_curves_answer_fast(graph_file, capsys):
     assert reps["classes"] == outputs["classes", f]["classes"]
     partitional = sorted(r for r in reps["reps"] if min(r) >= 0)
     assert partitional == [[int(i == k) for i in range(2002)] for k in (2001, 2000, 1999)]
+    # a "no" echoes t and names pi(t) and its residue on X', 3 entries each
+    not_twister = vector({0: 1, 2001: -1})
+    for cmd in ("canonical-rep", "twister-dim", "s-set"):
+        start = time.perf_counter()
+        assert main([cmd, f, "--t", not_twister]) == 2
+        assert time.perf_counter() - start < 2, cmd
+        err = _one_line_error(capsys)
+        assert len(err.encode()) < 64 * 1024, (cmd, len(err))
+        assert err.endswith(" (piece totals (1, 0, -1) reduce to (1, 0, -1), not 0)\n"), err
 
 
 def test_harness_failures_report(monkeypatch, capsys):
