@@ -21,7 +21,7 @@ a u with key(u) = row 0 are run (McKay, "Practical graph isomorphism",
 
 Loops are counts per component on a loopless graph g, one count vector per
 orbit of g's automorphisms.  A loop enters no pairing and no cut, so
-run_harness decides g's X' (each distinct pairing matrix once) and counts
+run_harness cross-checks g's X' once per distinct pairing matrix and counts
 g's loop placements, listing them only when X' fails.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .abel import _check_partitional, cross_check_naturality, essential_connectivity, is_natural
+from .abel import _check_partitional, cross_check_naturality
 from .graph import CurveGraph
 from .lattice import _check_listing
 
@@ -167,22 +167,11 @@ class HarnessResult:
         return not self.failures
 
 
-def _disagreements(x: CurveGraph, max_degree: int) -> list:
-    # every curve has a natural degree-1 Abel map ([CE]): no cut of X' is below 2
-    if essential_connectivity(x) < 2:
-        raise RuntimeError(f"essential connectivity below 2 on {x!r}")
-    return [
-        (d, is_natural(x, d))
-        for d in range(1, max_degree + 1)
-        if not cross_check_naturality(x, d)
-    ]
-
-
 def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
-    """cross_check_naturality over every enumerated graph and degree.
+    """cross_check_naturality on the contracted curve of each enumerated graph.
 
     Each loopless graph stands for all its loop placements.  Each distinct
-    pairing matrix of X' = g.contracted is decided once and its failures
+    pairing matrix of X' = g.contracted is cross-checked once and its failures
     given to every graph that shares it; the failures are sorted.
     """
     if max_degree < 1:
@@ -194,7 +183,7 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
     for g in connected_multigraphs(max_gamma, max_edges, loops=False):
         x = g.contracted
         if x.pairing_matrix not in decided:
-            decided[x.pairing_matrix] = _disagreements(x, max_degree)
+            decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)
         fails = decided[x.pairing_matrix]
         for counts in _loop_placements(g, max_edges - g.edge_count):  # a record only on failure
             graphs += 1

@@ -86,8 +86,8 @@ def _lattice(g: CurveGraph) -> tuple:
     column is row r of H extended by the balancing entry -sum(row), with its
     pivot in row r, and the divisor is row r of U extended by 0.  Only the
     last graph and its basis are kept: the CLI works on one graph per
-    process, and the harness finishes each graph before the next.  The
-    library builds it only for curves without a separating node.
+    process, and the harness finishes each contracted curve before the
+    next.  The library builds it only for curves without a separating node.
     """
     minor = [list(row[:-1]) for row in g.pairing_matrix[:-1]]
     h, u = row_hnf(minor)

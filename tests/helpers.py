@@ -364,12 +364,12 @@ def choose_representatives_by_gamma(g: CurveGraph, d: int) -> dict:
 
 
 def harness_failures_by_graph(max_gamma: int, max_edges: int, max_degree: int, check) -> tuple:
-    """run_harness's failures with nothing shared between graphs: check, in
-    place of cross_check_naturality, on each graph's own contracted curve,
-    and the class route's verdict on the graph itself."""
+    """run_harness's failures with nothing shared between graphs: the
+    degrees that check, in place of cross_check_naturality, finds on each
+    graph's own contracted curve, and the class route's verdict on the
+    graph itself."""
     return tuple(sorted(
         (g.components, g.edges, d, is_natural(g, d))
         for g in connected_multigraphs(max_gamma, max_edges)
-        for d in range(1, max_degree + 1)
-        if not check(g.contracted, d)
+        for d, _ in check(g.contracted, max_degree)
     ))

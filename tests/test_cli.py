@@ -590,7 +590,11 @@ def test_harness_failure_says_which_route_said_yes(monkeypatch, capsys):
     # said the opposite.  Every graph fails at degree 2 here, so both
     # verdicts show: two parallel nodes have no natural map, the rest do.
     check = harness.cross_check_naturality
-    monkeypatch.setattr(harness, "cross_check_naturality", lambda g, d: d != 2 and check(g, d))
+
+    def fail_at_two(x, max_degree):  # the real check at every other degree
+        return [(2, abelmap.is_natural(x, 2))] + [f for f in check(x, max_degree) if f[0] != 2]
+
+    monkeypatch.setattr(harness, "cross_check_naturality", fail_at_two)
     argv = ["harness", "--max-gamma", "2", "--max-edges", "2", "--max-degree", "2"]
     assert main(argv + ["--json"]) == 1
     out = _json_out(capsys)["outputs"]

@@ -281,8 +281,7 @@ def test_loops_are_inert():
     assert base.bridges == loopy.bridges == frozenset()
     assert essential_connectivity(base) == essential_connectivity(loopy)
     assert class_group_order(base) == class_group_order(loopy)
-    for d in range(1, 4):
-        assert cross_check_naturality(loopy, d)
+    assert cross_check_naturality(loopy, 3) == []
 
 
 def test_run_harness_small():
@@ -358,10 +357,13 @@ def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
 def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
     calls = []
 
-    def disagree_on_some(x, d):  # reads X' only through its pairing matrix
-        calls.append((x.pairing_matrix, d))
+    def disagree_on_some(x, max_degree):  # reads X' only through its pairing matrix
+        calls.append((x.pairing_matrix, max_degree))
         m = x.pairing_matrix
-        return (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 != 0
+        return [
+            (d, is_natural(x, d)) for d in range(1, max_degree + 1)
+            if (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 == 0
+        ]
 
     expected = harness_failures_by_graph(4, 6, 3, disagree_on_some)
     distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
@@ -369,7 +371,28 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
     calls.clear()
     result = run_harness(4, 6, 3)
     assert 0 < len(expected) < result.checks and result.failures == expected
-    assert len(calls) == len(set(calls)) == distinct * 3
+    assert len(calls) == len(set(calls)) == distinct
+
+
+def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
+    # every degree of one X' is cross-checked on one minimum cut, and each
+    # degree's class route runs once
+    calls = {"essential_connectivity": 0, "is_natural": 0}
+
+    def spy(name):
+        real = getattr(abel, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(abel, name, counted)
+
+    spy("essential_connectivity")
+    spy("is_natural")
+    distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
+    assert run_harness(4, 6, 3).ok
+    assert calls == {"essential_connectivity": distinct, "is_natural": distinct * 3}
 
 
 def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkeypatch):
@@ -383,8 +406,10 @@ def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkey
 def test_run_harness_lists_every_loop_placement_of_a_failing_graph(monkeypatch):
     # only the double node fails; on two components with up to two loops
     # beside it, its four placements up to the swap are each listed once
-    def double_node_fails(x, d):
-        return x.pairing_matrix != ((-2, 2), (2, -2))
+    def double_node_fails(x, max_degree):
+        if x.pairing_matrix != ((-2, 2), (2, -2)):
+            return []
+        return [(d, is_natural(x, d)) for d in range(1, max_degree + 1)]
 
     expected = harness_failures_by_graph(3, 4, 1, double_node_fails)
     monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
