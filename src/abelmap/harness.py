@@ -1,9 +1,10 @@
 """Exhaustive enumeration of small dual graphs and the agreement harness.
 
-A loopless graph is a multiplicity vector over the vertex pairs i < j, in
-lex order, kept when it is connected and no relabeling is lex-smaller: one
-vector, the orbit minimum, per isomorphism class.  Every checked property
-is isomorphism-invariant, so that covers all labeled graphs.
+The library enumerates loopless graphs only.  A loopless graph is a
+multiplicity vector over the vertex pairs i < j, in lex order, kept when it
+is connected and no relabeling is lex-smaller: one vector, the orbit
+minimum, per isomorphism class.  Every checked property is
+isomorphism-invariant, so that covers all labeled graphs.
 
 Rejection is orderly (Read, "Every one a winner", 1978): a prefix of k
 multiplicities is dropped as soon as a relabeling that maps the first k
@@ -19,10 +20,11 @@ gives: a key below row 0 rejects, and only the relabelings that send to 0
 a u with key(u) = row 0 are run (McKay, "Practical graph isomorphism",
 1981).
 
-Loops are counts per component on a loopless graph g, one count vector per
-orbit of g's automorphisms.  A loop enters no pairing and no cut, so
-run_harness cross-checks g's X' once per distinct pairing matrix and counts
-g's loop placements, listing them only when X' fails.
+The harness counts loop placements: loops are counts per component on a
+loopless graph g, one count vector per orbit of g's automorphisms.  A loop
+enters no pairing and no cut, so run_harness cross-checks g's X' once per
+distinct pairing matrix and counts g's loop placements, listing them only
+when X' fails.
 """
 
 from __future__ import annotations
@@ -128,12 +130,10 @@ def _with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot ord
     return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
 
 
-def connected_multigraphs(
-    max_gamma: int, max_edges: int, loops: bool = True
-) -> Iterator[CurveGraph]:
-    """All connected multigraphs with <= max_gamma vertices and <= max_edges
-    edges (loops count), one per isomorphism class, deterministic order:
-    each loopless graph, then its loop placements.
+def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[CurveGraph]:
+    """All connected loopless multigraphs with <= max_gamma vertices and
+    <= max_edges edges, one per isomorphism class, deterministic order.
+    Loops are inert: run_harness counts each graph's loop placements.
 
     A connected graph on gamma vertices has at least gamma - 1 edges, so no
     gamma above max_edges + 1 is enumerated.  A largest gamma with more than
@@ -148,12 +148,7 @@ def connected_multigraphs(
         slots = _slots(gamma)
         labels = [f"C{i + 1}" for i in range(gamma)]
         for vec in _canonical_vectors(gamma, max_edges):
-            g = CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
-            if not loops:
-                yield g
-                continue
-            for counts in _loop_placements(g, max_edges - g.edge_count):
-                yield CurveGraph(labels, _with_loops(g, counts))
+            yield CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
     graphs, failures = 0, []
     decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
-    for g in connected_multigraphs(max_gamma, max_edges, loops=False):
+    for g in connected_multigraphs(max_gamma, max_edges):
         x = g.contracted
         if x.pairing_matrix not in decided:
             decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)

@@ -127,16 +127,6 @@ def _reduce(basis: tuple, z: list) -> list:
     return quotients
 
 
-def _reduced(g: CurveGraph, z: list) -> list:
-    """z reduced into X's Hermite fundamental domain: pi(z) reduced on X', placed."""
-    if not g.bridges:  # X' is the curve, as in every class lookup of is_natural
-        _reduce(_lattice(g), z)
-        return z
-    w = list(piece_totals(g, z))
-    _reduce(_lattice(g.contracted), w)
-    return _place(g, w)
-
-
 def _place(g: CurveGraph, w):
     """w, on X', with entry k on the last component of piece k (w itself if X' is X)."""
     if not g.bridges:
@@ -257,15 +247,12 @@ def twister_divisor(g: CurveGraph, t: Iterable[int]) -> Divisor:
 
 
 def equivalent(g: CurveGraph, d1: Iterable[int], d2: Iterable[int]) -> bool:
-    """Same total degree and difference in the twister lattice.
+    """Same canonical class (see multidegree_class).
 
-    Different totals simply compare unequal; no error.
+    A canonical representative keeps the total degree, so different totals
+    simply compare unequal; no error.
     """
-    a = _check_vector(g, d1, "multidegree")
-    b = _check_vector(g, d2, "multidegree")
-    if sum(a) != sum(b):
-        return False
-    return not any(_reduced(g, [x - y for x, y in zip(a, b)]))
+    return multidegree_class(g, d1) == multidegree_class(g, d2)
 
 
 def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
@@ -274,11 +261,17 @@ def multidegree_class(g: CurveGraph, t: Iterable[int]) -> Multidegree:
     The canonical representative is the one member of the class found by
     shifting t to total degree 0 along the first coordinate, reducing it into
     the Hermite fundamental domain of the twister lattice, and shifting back.
+    That domain is X's: pi(z) reduced on X', placed.
     """
     z = list(_check_vector(g, t, "multidegree"))
     d = sum(z)
     z[0] -= d
-    z = _reduced(g, z)
+    if not g.bridges:  # X' is the curve, as in every class lookup of is_natural
+        _reduce(_lattice(g), z)
+    else:
+        z = list(piece_totals(g, z))
+        _reduce(_lattice(g.contracted), z)
+        z = _place(g, z)
     z[0] += d
     return tuple(z)
 

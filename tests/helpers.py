@@ -18,7 +18,7 @@ from abelmap import (
     partitional_multidegrees,
     twister_divisor,
 )
-from abelmap.harness import connected_multigraphs
+from abelmap.harness import _loop_placements, _with_loops, connected_multigraphs
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
 # X's own Hermite basis, for the dense oracles below, in a cache of its own
@@ -139,6 +139,49 @@ def connected_graphs(draw, max_gamma=9):
     label = draw(st.permutations(range(gamma)))
     edges = draw(st.permutations([(label[a], label[b]) for a, b in pairs]))
     return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
+
+
+def multigraphs_with_loops(max_gamma: int, max_edges: int):
+    """Every connected multigraph within the bounds, loops counted among the
+    edges, once per isomorphism class: each loopless graph of
+    connected_multigraphs (its empty loop placement), then its other loop
+    placements up to its automorphisms."""
+    for g in connected_multigraphs(max_gamma, max_edges):
+        for counts in _loop_placements(g, max_edges - g.edge_count):
+            yield CurveGraph(g.components, _with_loops(g, counts))
+
+
+def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:
+    """The reduced form of p + lift on every entry, with respect to
+    component 0, by Dhar's burning algorithm (Dhar, Phys. Rev. Lett. 64,
+    1990); no lattice and no Hermite form.
+
+    It reads only the pairing matrix m, so loops are ignored.  Firing a set
+    U adds m applied to U's indicator divisor, a twister multidegree.  Each
+    round burns from component 0: an unburnt v burns when its nodes to
+    burnt components exceed c[v].  If anything stays unburnt, the unburnt
+    set fires (each of its members has at least as many chips as nodes
+    leaving it), and the round repeats.  Each class holds one reduced form
+    (Baker and Norine, Adv. Math. 2007), so two vectors of one total are
+    equivalent exactly when, lifted by the same lift, they reduce alike;
+    reduced(x + k) is not reduced(x) + k.  The lifted entries off
+    component 0 must be >= 0.
+    """
+    m = g.pairing_matrix
+    c = [x + lift for x in p]
+    if min(c[1:], default=0) < 0:
+        raise ValueError(f"{tuple(c)} is negative off component 0")
+    while True:
+        burnt, unburnt = [0], set(range(1, len(c)))
+        for _ in burnt:  # one more pass per component burnt
+            for v in sorted(unburnt):
+                if sum(m[v][w] for w in burnt) > c[v]:
+                    unburnt.discard(v)
+                    burnt.append(v)
+        if not unburnt:
+            return tuple(c)
+        for v in range(len(c)):
+            c[v] += sum(m[v][u] for u in unburnt)
 
 
 def _relabelings(gamma: int, loops: bool) -> tuple:
@@ -370,6 +413,6 @@ def harness_failures_by_graph(max_gamma: int, max_edges: int, max_degree: int, c
     graph itself."""
     return tuple(sorted(
         (g.components, g.edges, d, is_natural(g, d))
-        for g in connected_multigraphs(max_gamma, max_edges)
+        for g in multigraphs_with_loops(max_gamma, max_edges)
         for d, _ in check(g.contracted, max_degree)
     ))

@@ -34,10 +34,12 @@ from helpers import (
     connected_graphs,
     cut_edges,
     cycle,
+    dhar_reduced,
     doubled_cycle,
     epsilon_by_piece_scan,
     epsilon_over_connected_subcurves,
     is_natural_by_piece_totals,
+    multigraphs_with_loops,
     path,
     star,
     triangle_with_pendant,
@@ -73,7 +75,7 @@ def test_epsilon_examples():
 
 
 def test_epsilon_three_forms_agree():
-    for g in connected_multigraphs(5, 6):
+    for g in multigraphs_with_loops(5, 6):
         full = essential_connectivity(g)
         conn = epsilon_over_connected_subcurves(g)
         no_bridge = _epsilon_no_bridge_in_cut(g)
@@ -88,7 +90,7 @@ def test_epsilon_matches_connected_subcurve_oracle(g):
 
 
 def test_epsilon_and_bridges_match_oracles_exhaustive():
-    for g in connected_multigraphs(5, 8):
+    for g in multigraphs_with_loops(5, 8):
         assert essential_connectivity(g) == epsilon_by_piece_scan(g)
         assert g.bridges == bridges_by_removal(g)
 
@@ -133,7 +135,7 @@ def test_has_natural_abel_map():
 
 
 def test_has_natural_monotone_in_degree():
-    for g in connected_multigraphs(4, 5):
+    for g in multigraphs_with_loops(4, 5):
         for d in range(1, 4):
             if has_natural_abel_map(g, d + 1):
                 assert has_natural_abel_map(g, d)
@@ -243,7 +245,7 @@ def test_is_natural_rejects_a_bad_choice():
 
 def test_is_natural_matches_pairwise_condition():
     # the O(P^2) pair loop is the oracle for the class-grouped pass
-    for g in connected_multigraphs(4, 6):
+    for g in multigraphs_with_loops(4, 6):
         disagreements = []
         for d in range(1, 4):
             pairwise = partitional_pairs_certified(g, d)
@@ -259,7 +261,7 @@ def test_is_natural_with_reps_matches_the_definition():
     # Three choices: the default, the canonical multidegrees, and each
     # class's last partitional member (the canonical one when it has none).
     seen = set()
-    for g in connected_multigraphs(4, 6):
+    for g in multigraphs_with_loops(4, 6):
         for d in range(1, 4):
             parts = partitional_multidegrees(g.gamma, d)
             canonical = {c: c for c in enumerate_classes(g, d)}
@@ -282,7 +284,7 @@ def test_the_contracted_curve_answers_for_the_curve():
     # X' = g.contracted is connected and bridgeless with one component per
     # piece; pi = piece_totals keeps the total; the class count, epsilon and
     # the brute-force verdict read off X' match those of X itself
-    for g in connected_multigraphs(5, 8):
+    for g in multigraphs_with_loops(5, 8):
         x = g.contracted
         assert len(set(_components(x.gamma, x.edges))) == 1 and not x.bridges
         assert x.gamma == len(set(g.pieces))
@@ -294,9 +296,25 @@ def test_the_contracted_curve_answers_for_the_curve():
             assert is_natural(g, d) == is_natural_by_piece_totals(g, d), (g, d)
 
 
+def test_is_natural_matches_chip_firing_classes():
+    # an oracle with no X' and no Hermite form: Dhar's reduced form names the
+    # class of each partitional multidegree of X itself, and the curve is
+    # natural when no class holds two piece_totals vectors
+    verdicts = []
+    for g in connected_multigraphs(5, 8):
+        for d in range(1, 4):
+            totals: dict = {}
+            for p in partitional_multidegrees(g.gamma, d):
+                totals.setdefault(dhar_reduced(g, p, 0), set()).add(piece_totals(g, p))
+            natural = all(len(t) == 1 for t in totals.values())
+            assert is_natural(g, d) == natural, (g, d)
+            verdicts.append(natural)
+    assert (len(verdicts), sum(verdicts)) == (1515, 700)
+
+
 def test_default_chooser_matches_explicit_table():
     # explicit representatives are keyed and counted before the full-table path
-    for g in connected_multigraphs(4, 5):
+    for g in multigraphs_with_loops(4, 5):
         for d in range(1, 4):
             reps = choose_representatives(g, d).values()
             assert is_natural(g, d) == is_natural(g, d, reps), (g, d)

@@ -30,7 +30,12 @@ from abelmap import (
 )
 from abelmap.cli import main
 from abelmap.harness import connected_multigraphs
-from helpers import check_level_degree_bounds, tail_sum_oracle_table, two_component
+from helpers import (
+    check_level_degree_bounds,
+    multigraphs_with_loops,
+    tail_sum_oracle_table,
+    two_component,
+)
 
 
 def _run(n: int, desc: str, capsys, body) -> None:
@@ -78,7 +83,7 @@ def test_criterion_03_class_group_consistency(capsys):
     def body():
         t0 = time.monotonic()
         graphs = 0
-        for g in connected_multigraphs(5, 8, loops=False):
+        for g in connected_multigraphs(5, 8):
             # raises if the Hermite pivot product and Matrix-Tree differ
             order = class_group_order(g)
             for d in range(-2, 6):
@@ -133,7 +138,7 @@ def test_criterion_05_exhaustive_harness(capsys):
 
 def test_criterion_06_canonical_level_suite(capsys):
     def body():
-        for g in connected_multigraphs(4, 5, loops=False):
+        for g in connected_multigraphs(4, 5):
             seen = set()
             for dv in product(range(-3, 4), repeat=g.gamma):
                 t = multidegree_of(g, dv)
@@ -157,7 +162,7 @@ def test_criterion_06_canonical_level_suite(capsys):
 
 def test_criterion_07_sum_of_tails_oracle(capsys):
     def body():
-        for g in connected_multigraphs(4, 5):
+        for g in multigraphs_with_loops(4, 5):
             table = tail_sum_oracle_table(g, 2)
             for dv in product(range(-2, 3), repeat=g.gamma):
                 fast = is_sum_of_tails(g, dv)
@@ -169,7 +174,7 @@ def test_criterion_07_sum_of_tails_oracle(capsys):
 
 def test_criterion_08_twister_dim_chain(capsys):
     def body():
-        for g in connected_multigraphs(4, 5):
+        for g in multigraphs_with_loops(4, 5):
             bridges = g.bridges
             seen = set()
             for dv in product(range(-2, 3), repeat=g.gamma):
@@ -189,7 +194,7 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
     def body():
         trees = [
             g
-            for g in connected_multigraphs(5, 4, loops=False)
+            for g in connected_multigraphs(5, 4)
             if g.edge_count == g.gamma - 1
         ]
         assert len(trees) > 5
@@ -202,7 +207,7 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
         # a natural map must send each partitional multidegree to itself:
         # no two of them may share a class
         unique = 0
-        for g in connected_multigraphs(4, 5):
+        for g in multigraphs_with_loops(4, 5):
             if g.bridges:
                 continue
             for d in range(1, 4):

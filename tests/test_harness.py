@@ -28,23 +28,29 @@ from helpers import (
     canonical_vectors_by_min,
     harness_failures_by_graph,
     loopful_orbit_minimum,
+    multigraphs_with_loops,
 )
 
 
 def test_small_counts_by_hand():
     # gamma = 1: loop counts 0..2
-    assert len(list(connected_multigraphs(1, 2))) == 3
+    assert len(list(multigraphs_with_loops(1, 2))) == 3
     # gamma <= 2, <= 2 edges, loops allowed: 3 single-vertex graphs plus
     # {1 edge}, {1 edge + loop}, {2 edges} between two vertices
-    graphs = list(connected_multigraphs(2, 2))
+    graphs = list(multigraphs_with_loops(2, 2))
     assert len(graphs) == 6
     # loopless: single vertex, one edge, two parallel edges
-    assert len(list(connected_multigraphs(2, 2, loops=False))) == 3
+    assert len(list(connected_multigraphs(2, 2))) == 3
+
+
+def test_the_enumeration_yields_no_loop():
+    graphs = list(connected_multigraphs(4, 6))
+    assert graphs and not any(a == b for g in graphs for a, b in g.edges)
 
 
 def test_enumeration_is_deterministic_and_valid():
-    a = list(connected_multigraphs(3, 4))
-    b = list(connected_multigraphs(3, 4))
+    a = list(multigraphs_with_loops(3, 4))
+    b = list(multigraphs_with_loops(3, 4))
     assert a == b
     for g in a:
         assert isinstance(g, CurveGraph)
@@ -69,7 +75,7 @@ def test_early_exit_canonicity_matches_orbit_minimum(loops):
         # already takes about half a second
         for max_edges in range(6 if (gamma, loops) == (5, True) else 7):
             if loops:
-                graphs = connected_multigraphs(gamma, max_edges)
+                graphs = multigraphs_with_loops(gamma, max_edges)
                 got = sorted(loopful_orbit_minimum(g) for g in graphs if g.gamma == gamma)
             else:
                 got = list(_canonical_vectors(gamma, max_edges))
@@ -199,11 +205,11 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
 
 
 def test_exact_graph_counts():
-    assert sum(1 for _ in connected_multigraphs(5, 7)) == 1177
-    assert sum(1 for _ in connected_multigraphs(5, 8, loops=False)) == 505
-    assert sum(1 for _ in connected_multigraphs(6, 8, loops=False)) == 998
+    assert sum(1 for _ in multigraphs_with_loops(5, 7)) == 1177
+    assert sum(1 for _ in connected_multigraphs(5, 8)) == 505
+    assert sum(1 for _ in connected_multigraphs(6, 8)) == 998
     # gamma = 7: the 5040-relabeling leaf
-    assert sum(1 for _ in connected_multigraphs(7, 8, loops=False)) == 1418
+    assert sum(1 for _ in connected_multigraphs(7, 8)) == 1418
 
 
 def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
@@ -218,7 +224,7 @@ def test_enumeration_skips_sizes_that_cannot_connect(monkeypatch):
         return getters(gamma, slots)
 
     monkeypatch.setattr(harness, "_perm_getters", guarded)
-    assert list(connected_multigraphs(12, 3)) == list(connected_multigraphs(4, 3))
+    assert list(multigraphs_with_loops(12, 3)) == list(multigraphs_with_loops(4, 3))
 
 
 def test_enumeration_refuses_relabeling_tables_that_cannot_be_built(monkeypatch):
@@ -231,7 +237,7 @@ def test_enumeration_refuses_relabeling_tables_that_cannot_be_built(monkeypatch)
     with pytest.raises(ValueError, match="gamma 10 has 3628800 relabelings"):
         run_harness(10, 9, 1)
     with pytest.raises(ValueError, match="gamma 10 has 3628800 relabelings"):
-        next(connected_multigraphs(12, 9, loops=False))
+        next(connected_multigraphs(12, 9))
     # eight nodes reach gamma = 9 (362880 relabelings): enumeration starts
     with pytest.raises(AssertionError, match="gamma = 1"):
         run_harness(10, 8, 1)
@@ -260,7 +266,7 @@ def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
 
 
 def test_enumeration_contains_known_shapes():
-    graphs = list(connected_multigraphs(3, 3, loops=False))
+    graphs = list(connected_multigraphs(3, 3))
     matrices = {g.pairing_matrix for g in graphs}
 
     def some_relabeling_present(edges):
@@ -289,7 +295,7 @@ def test_run_harness_small():
     assert res.ok
     assert res.failures == ()
     assert res.checks == res.graphs * 2
-    assert res.graphs == len(list(connected_multigraphs(3, 4)))
+    assert res.graphs == len(list(multigraphs_with_loops(3, 4)))
 
 
 def test_run_harness_validates_bounds():
@@ -315,7 +321,7 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 def test_run_harness_builds_each_graph_once(monkeypatch):
     # when nothing fails: each loopless graph once, plus its contracted
     # curve when it has a separating node, and no curve with a loop
-    bases = list(connected_multigraphs(4, 6, loops=False))
+    bases = list(connected_multigraphs(4, 6))
     bridged = sum(bool(g.bridges) for g in bases)
     built = []
     init = CurveGraph.__init__
@@ -333,12 +339,12 @@ def test_run_harness_builds_each_graph_once(monkeypatch):
 
 def test_run_harness_counts_every_loop_placement():
     for bounds in [(1, 0), (2, 3), (4, 6), (7, 6)]:
-        assert run_harness(*bounds, 1).graphs == sum(1 for _ in connected_multigraphs(*bounds))
+        assert run_harness(*bounds, 1).graphs == sum(1 for _ in multigraphs_with_loops(*bounds))
     assert run_harness(2, 3, 1).graphs == 11
     # the swap of two components fixes their one node but moves a loop:
     # one node and one loop is one curve, not two
     one_loop = [
-        g for g in connected_multigraphs(2, 3) if sorted(g.edges) in ([(0, 0), (0, 1)], [(0, 1), (1, 1)])
+        g for g in multigraphs_with_loops(2, 3) if sorted(g.edges) in ([(0, 0), (0, 1)], [(0, 1), (1, 1)])
     ]
     assert len(one_loop) == 1
 
@@ -347,7 +353,7 @@ def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
     # the oracle for run_harness's key: each graph decided on its own agrees
     # with every graph whose X' has the same pairing matrix
     verdicts: dict = {}
-    for g in connected_multigraphs(5, 8):
+    for g in multigraphs_with_loops(5, 8):
         got = tuple((is_natural(g, d), has_natural_abel_map(g, d)) for d in range(1, 5))
         verdicts.setdefault(g.contracted.pairing_matrix, set()).add(got)
     assert len(verdicts) == 304
@@ -366,7 +372,7 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
         ]
 
     expected = harness_failures_by_graph(4, 6, 3, disagree_on_some)
-    distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
+    distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
     monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
     calls.clear()
     result = run_harness(4, 6, 3)
@@ -390,7 +396,7 @@ def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
 
     spy("essential_connectivity")
     spy("is_natural")
-    distinct = len({g.contracted.pairing_matrix for g in connected_multigraphs(4, 6)})
+    distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
     assert run_harness(4, 6, 3).ok
     assert calls == {"essential_connectivity": distinct, "is_natural": distinct * 3}
 

@@ -45,8 +45,10 @@ from helpers import (
     dense_class,
     dense_classes,
     dense_twister_divisor,
+    dhar_reduced,
     doubled_cycle,
     multidegree_by_pairing_matrix,
+    multigraphs_with_loops,
     path,
     star,
     triangle_with_pendant,
@@ -132,6 +134,9 @@ def test_equivalent_examples():
     assert equivalent(g2, (2, 0), (0, 2))
     assert not equivalent(g2, (1, 1), (2, 1))  # different totals
     assert equivalent(g2, (5, -5), (1, -1))
+    for a, b in [((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0))]:
+        with pytest.raises(ValueError, match="^multidegree has length 3, expected 2$"):
+            equivalent(g2, a, b)
 
 
 def test_equivalence_relation_sampled():
@@ -222,7 +227,7 @@ def test_class_count_independent_of_degree():
 def test_order_cross_check_over_enumeration():
     # class_group_order raises internally if the Hermite pivot product and
     # Matrix-Tree disagree; sympy's Smith form is a third, independent count
-    for g in connected_multigraphs(4, 5):
+    for g in multigraphs_with_loops(4, 5):
         snf = smith_normal_form(sympy.Matrix(g.pairing_matrix))
         order = math.prod(abs(int(x)) for x in snf.diagonal() if x)
         assert class_group_order(g) == order == len(enumerate_classes(g, 0))
@@ -231,7 +236,7 @@ def test_order_cross_check_over_enumeration():
 def test_basis_is_in_hermite_form_exhaustively():
     # With the two build checks this pins the unique Hermite basis, so the
     # canonical representatives cannot drift on graphs outside the golden file.
-    for g in connected_multigraphs(5, 8):
+    for g in multigraphs_with_loops(5, 8):
         basis = lattice._lattice(g)
         zero = (0,) * g.gamma
         assert len(basis) == g.gamma - 1
@@ -245,10 +250,31 @@ def test_basis_is_in_hermite_form_exhaustively():
             assert equivalent(g, multidegree_of(g, e), zero)
 
 
+def test_equivalent_and_classes_match_chip_firing():
+    # an oracle with no Hermite form: two multidegrees of one total are
+    # equivalent exactly when Dhar's burning reduces them alike, both lifted
+    # by one amount that makes every entry off component 0 nonnegative
+    rng = random.Random(3)
+    pairs = same = 0
+    for g in connected_multigraphs(5, 8):
+        for _ in range(5):
+            p = [rng.randint(-3, 3) for _ in range(g.gamma)]
+            q = [rng.randint(-3, 3) for _ in range(g.gamma)]
+            q[0] += sum(p) - sum(q)
+            c = multidegree_class(g, p)
+            lift = -min([0, *p[1:], *q[1:], *c[1:]])
+            reduced = dhar_reduced(g, p, lift)
+            assert equivalent(g, p, q) == (dhar_reduced(g, q, lift) == reduced), (g, p, q)
+            assert dhar_reduced(g, c, lift) == reduced, (g, p)
+            pairs += 1
+            same += equivalent(g, p, q)
+    assert pairs == 2525 and 0 < same < pairs
+
+
 def test_equivalent_matches_twister_membership_oracle():
     # the membership test equivalent used to make: build the twister divisor
     # of the difference, which raises exactly when there is none
-    for g in connected_multigraphs(4, 5):
+    for g in multigraphs_with_loops(4, 5):
         box = product(range(-1, 2), repeat=g.gamma)
         for a, b in combinations(box, 2):
             if sum(a) == sum(b):
@@ -287,7 +313,7 @@ def test_the_lift_of_the_contracted_basis_is_the_dense_basis(monkeypatch):
     monkeypatch.setattr(lattice, "_lattice", lambda g: built.add(g) or dense_lattice(g))
     rng = random.Random(16)
     graphs = bridged = 0
-    for g in connected_multigraphs(5, 8):
+    for g in multigraphs_with_loops(5, 8):
         graphs += 1
         bridged += bool(bridges_by_removal(g))
         assert not bridges_by_removal(g.contracted)
