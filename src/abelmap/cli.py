@@ -16,8 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import abel, lattice, levels
 from .graph import CurveGraph
@@ -70,8 +69,7 @@ def serialize_graph(g: CurveGraph) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What a subcommand computed: command name, inputs, outputs."""
 
     command: str
@@ -124,8 +122,7 @@ def _parse_vector(text: str, gamma: int, what: str) -> tuple:
 INT, VECTOR, PATH = "int", "vector", "path"
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """An option of a subcommand; the runner parses VECTORs against g.gamma.
 
     Every option is shown in the report's inputs, an absent one as `absent`
@@ -142,8 +139,7 @@ class _Option:
 COMMANDS: list = []  # filled by @_Command(...), in `abelmap --help` order
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     """A subcommand; decorating compute(g, **options) -> outputs registers it.
 
     Exit code 1 when the `predicate` output is false.  In text mode
@@ -161,7 +157,7 @@ class _Command:
     compute: Optional[Callable[..., dict]] = None
 
     def __call__(self, compute):
-        COMMANDS.append(replace(self, compute=compute))
+        COMMANDS.append(self._replace(compute=compute))
         return compute
 
 

@@ -18,7 +18,9 @@ every full vector left is connected.  At the leaf, key(u), u's
 multiplicities sorted, is the least row 0 a relabeling sending u to 0
 gives: a key below row 0 rejects, and only the relabelings that send to 0
 a u with key(u) = row 0 are run (McKay, "Practical graph isomorphism",
-1981).
+1981).  An orbit minimum has its row 0 sorted, so every automorphism sends
+to 0 such a u: the relabelings run that fix the vector are exactly the
+graph's automorphisms.
 
 The harness counts loop placements: loops are counts per component on a
 loopless graph g, one count vector per orbit of g's automorphisms.  A loop
@@ -30,9 +32,8 @@ when X' fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .abel import _check_partitional, cross_check_naturality
 from .graph import CurveGraph
@@ -46,12 +47,13 @@ def _slots(gamma: int) -> list[tuple[int, int]]:
 def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
     # tables[k], k < len(slots): one itemgetter per distinct non-identity
     # relabeling of the first k slots by a vertex permutation that maps them
-    # onto themselves; tables[-1][u]: those of all slots that send u to 0
+    # onto themselves; tables[-1][u]: (itemgetter, perm) for each
+    # non-identity vertex permutation perm sending u to 0, vertex i to perm[i]
     n = len(slots)
     index = {s: k for k, s in enumerate(slots)}
     images = [{} for _ in range(n)]  # dicts keep first-seen order
-    groups = [{} for _ in range(gamma)]
-    for perm in itertools.permutations(range(gamma)):
+    groups = [[] for _ in range(gamma)]
+    for perm in itertools.islice(itertools.permutations(range(gamma)), 1, None):  # no identity
         image = [0] * n
         for k, (i, j) in enumerate(slots):
             a, b = perm[i], perm[j]
@@ -59,28 +61,39 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
         for k, top in enumerate(itertools.accumulate(image[:-1], max), 1):
             if top == k - 1:  # k distinct indices below k are range(k)
                 images[k][tuple(image[:k])] = None
-        groups[perm.index(0)][tuple(image)] = None
+        # gamma = 2: the swap fixes the one slot, and itemgetter(0) returns no tuple
+        groups[perm.index(0)].append((itemgetter(*image) if n > 1 else tuple, perm))
     return [
         [itemgetter(*im) for im in ims if im != tuple(range(k))]
         for k, ims in enumerate(images)
-    ] + [[[itemgetter(*im) for im in ims if im != tuple(range(n))] for ims in groups]]
+    ] + [groups]
 
 
 def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
+    # (orbit-minimum vector, its automorphisms with the identity first)
     slots = _slots(gamma)
     tables = _perm_getters(gamma, slots)
     n = len(slots)
     rows = [[k for k, s in enumerate(slots) if u in s] for u in range(gamma)]  # u's slots
+    identity = tuple(range(gamma))
 
     # last[v]: the largest vertex of v's class under the nodes so far
     def rec(prefix: tuple, budget: int, last: tuple, classes: int) -> Iterator[tuple]:
         if len(prefix) == n:
             row = list(prefix[: gamma - 1])  # row 0, the first block
+            automorphisms = [identity]
             for u, group in enumerate(tables[n]):
                 key = sorted([prefix[k] for k in rows[u]])
-                if key < row or key == row and any(g(prefix) < prefix for g in group):
+                if key < row:
                     return
-            yield prefix
+                if key == row:
+                    for get, perm in group:
+                        image = get(prefix)
+                        if image <= prefix:
+                            if image < prefix:
+                                return
+                            automorphisms.append(perm)
+            yield prefix, automorphisms
             return
         if any(g(prefix) < prefix for g in tables[len(prefix)]):
             return
@@ -94,27 +107,14 @@ def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
         for m in range(1, budget - joined + 2):  # a later node joins two classes at most
             yield from rec(prefix + (m,), budget - m, merged, joined)
 
-    return rec((), max_edges, tuple(range(gamma)), gamma)
+    return rec((), max_edges, identity, gamma)
 
 
-def _loop_placements(g: CurveGraph, budget: int) -> Iterator[tuple]:
+def _loop_placements(automorphisms: list, budget: int) -> Iterator[tuple]:
     # loop counts per component, totalling at most budget, each the least of
-    # its orbit under g's automorphisms: vertex permutations, since at
-    # gamma = 2 the swap fixes the one slot but moves a loop
-    m = g.pairing_matrix
-    n = len(m)
-    keys = [sorted(row) for row in m]
-
-    def automorphisms(perm: tuple) -> Iterator[tuple]:  # those that extend perm
-        u = len(perm)
-        if u == n:
-            yield perm
-            return
-        for v in range(n):
-            if keys[v] == keys[u] and v not in perm and all(m[u][w] == m[v][p] for w, p in enumerate(perm)):
-                yield from automorphisms(perm + (v,))
-
-    getters = [itemgetter(*p) for p in automorphisms(()) if p != tuple(range(n))]
+    # its orbit under the automorphisms (vertex permutations, identity first)
+    n = len(automorphisms[0])
+    getters = [itemgetter(*p) for p in automorphisms[1:]]
 
     def placements(prefix: tuple, budget: int) -> Iterator[tuple]:
         if len(prefix) < n:
@@ -130,9 +130,11 @@ def _with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot ord
     return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
 
 
-def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[CurveGraph]:
-    """All connected loopless multigraphs with <= max_gamma vertices and
-    <= max_edges edges, one per isomorphism class, deterministic order.
+def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[CurveGraph, list]]:
+    """(graph, automorphisms) for all connected loopless multigraphs with
+    <= max_gamma vertices and <= max_edges edges, one graph per isomorphism
+    class, deterministic order.  The automorphisms are the vertex
+    permutations p (vertex i to p[i]) that keep the graph, identity first.
     Loops are inert: run_harness counts each graph's loop placements.
 
     A connected graph on gamma vertices has at least gamma - 1 edges, so no
@@ -147,12 +149,12 @@ def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[CurveGraph
     for gamma in range(1, top + 1):
         slots = _slots(gamma)
         labels = [f"C{i + 1}" for i in range(gamma)]
-        for vec in _canonical_vectors(gamma, max_edges):
-            yield CurveGraph(labels, [s for s, m in zip(slots, vec) for _ in range(m)])
+        for vec, automorphisms in _canonical_vectors(gamma, max_edges):
+            edges = [s for s, m in zip(slots, vec) for _ in range(m)]
+            yield CurveGraph(labels, edges), automorphisms
 
 
-@dataclass(frozen=True)
-class HarnessResult:
+class HarnessResult(NamedTuple):
     graphs: int
     checks: int
     failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...]
@@ -175,12 +177,12 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
     graphs, failures = 0, []
     decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
-    for g in connected_multigraphs(max_gamma, max_edges):
+    for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
         x = g.contracted
         if x.pairing_matrix not in decided:
             decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)
         fails = decided[x.pairing_matrix]
-        for counts in _loop_placements(g, max_edges - g.edge_count):  # a record only on failure
-            graphs += 1
+        for counts in _loop_placements(automorphisms, max_edges - g.edge_count):
+            graphs += 1  # and a record only on failure
             failures += [(g.components, _with_loops(g, counts), d, yes) for d, yes in fails]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

@@ -146,9 +146,34 @@ def multigraphs_with_loops(max_gamma: int, max_edges: int):
     edges, once per isomorphism class: each loopless graph of
     connected_multigraphs (its empty loop placement), then its other loop
     placements up to its automorphisms."""
-    for g in connected_multigraphs(max_gamma, max_edges):
-        for counts in _loop_placements(g, max_edges - g.edge_count):
+    for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
+        for counts in _loop_placements(automorphisms, max_edges - g.edge_count):
             yield CurveGraph(g.components, _with_loops(g, counts))
+
+
+def loop_placements_by_burnside(automorphisms: list, budget: int) -> int:
+    """The number of loop placements of total at most budget up to the
+    automorphisms (a group of vertex permutations), by Burnside's lemma: the
+    mean over the group of the placements each permutation fixes, with no
+    placement listed.  p fixes exactly the count vectors that are constant
+    on its cycles: one count per cycle, weighted by the cycle's length, a
+    coin-change count."""
+    fixed = 0
+    for p in automorphisms:
+        ways = [1] + [0] * budget  # ways[t]: counts on the cycles so far, weighted total t
+        seen: set = set()
+        for start in range(len(p)):
+            length, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v, length = p[v], length + 1
+            if length:  # 0: start lies on a cycle already counted
+                for t in range(length, budget + 1):
+                    ways[t] += ways[t - length]
+        fixed += sum(ways)
+    count, rest = divmod(fixed, len(automorphisms))
+    assert rest == 0, (fixed, len(automorphisms))
+    return count
 
 
 def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:

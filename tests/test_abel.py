@@ -301,7 +301,7 @@ def test_is_natural_matches_chip_firing_classes():
     # class of each partitional multidegree of X itself, and the curve is
     # natural when no class holds two piece_totals vectors
     verdicts = []
-    for g in connected_multigraphs(5, 8):
+    for g, _ in connected_multigraphs(5, 8):
         for d in range(1, 4):
             totals: dict = {}
             for p in partitional_multidegrees(g.gamma, d):

@@ -83,7 +83,7 @@ def test_criterion_03_class_group_consistency(capsys):
     def body():
         t0 = time.monotonic()
         graphs = 0
-        for g in connected_multigraphs(5, 8):
+        for g, _ in connected_multigraphs(5, 8):
             # raises if the Hermite pivot product and Matrix-Tree differ
             order = class_group_order(g)
             for d in range(-2, 6):
@@ -138,7 +138,7 @@ def test_criterion_05_exhaustive_harness(capsys):
 
 def test_criterion_06_canonical_level_suite(capsys):
     def body():
-        for g in connected_multigraphs(4, 5):
+        for g, _ in connected_multigraphs(4, 5):
             seen = set()
             for dv in product(range(-3, 4), repeat=g.gamma):
                 t = multidegree_of(g, dv)
@@ -194,7 +194,7 @@ def test_criterion_09_compact_type_and_uniqueness(capsys):
     def body():
         trees = [
             g
-            for g in connected_multigraphs(5, 4)
+            for g, _ in connected_multigraphs(5, 4)
             if g.edge_count == g.gamma - 1
         ]
         assert len(trees) > 5

@@ -305,19 +305,27 @@ def test_main_builds_no_parser(graph_file, monkeypatch, capsys):
     assert capsys.readouterr().out == "epsilon: 2\n"
 
 
-def test_importing_the_cli_starts_no_process_pool():
-    # a fresh interpreter: the harness is serial, so start-up loads no pool
+def _loaded_by_importing_the_cli(names: tuple) -> str:
+    # those of names in sys.modules after `import abelmap.cli` in a fresh interpreter
     src = str(Path(abelmap.__file__).parent.parent)
-    script = (
-        "import sys, abelmap.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
-    )
+    script = f"import sys, abelmap.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_starts_no_process_pool():
+    # the harness is serial, so start-up loads no pool
+    assert _loaded_by_importing_the_cli(("concurrent.futures", "multiprocessing")) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # records are named tuples: dataclasses would load inspect, ast and dis
+    # at every start-up, for no answer
+    assert _loaded_by_importing_the_cli(("dataclasses", "inspect", "ast", "dis")) == "[]\n"
 
 
 def test_s_set_command(graph_file, capsys):

@@ -19,6 +19,7 @@ from abelmap import (
 )
 from abelmap.harness import (
     _canonical_vectors,
+    _loop_placements,
     connected_multigraphs,
     run_harness,
 )
@@ -27,6 +28,7 @@ from helpers import (
     _bounded_vectors,
     canonical_vectors_by_min,
     harness_failures_by_graph,
+    loop_placements_by_burnside,
     loopful_orbit_minimum,
     multigraphs_with_loops,
 )
@@ -44,7 +46,7 @@ def test_small_counts_by_hand():
 
 
 def test_the_enumeration_yields_no_loop():
-    graphs = list(connected_multigraphs(4, 6))
+    graphs = [g for g, _ in connected_multigraphs(4, 6)]
     assert graphs and not any(a == b for g in graphs for a, b in g.edges)
 
 
@@ -61,8 +63,9 @@ def test_enumeration_dedups_isomorphic_relabelings():
     # path C1-C2-C3 and path C2-C1-C3 are isomorphic; only one canonical
     # vector may survive for the path shape
     vecs = list(_canonical_vectors(3, 2))
-    # slots (0,1),(0,2),(1,2): connected with 2 edges = path, up to iso
-    assert vecs == [(0, 1, 1)]
+    # slots (0,1),(0,2),(1,2): connected with 2 edges = path, up to iso,
+    # with C3 in the middle: its automorphisms swap the ends
+    assert vecs == [((0, 1, 1), [(0, 1, 2), (1, 0, 2)])]
 
 
 @pytest.mark.parametrize("loops", [True, False])
@@ -78,14 +81,16 @@ def test_early_exit_canonicity_matches_orbit_minimum(loops):
                 graphs = multigraphs_with_loops(gamma, max_edges)
                 got = sorted(loopful_orbit_minimum(g) for g in graphs if g.gamma == gamma)
             else:
-                got = list(_canonical_vectors(gamma, max_edges))
+                got = [vec for vec, _ in _canonical_vectors(gamma, max_edges)]
             assert got == canonical_vectors_by_min(gamma, max_edges, loops), (gamma, max_edges)
 
 
 def test_prefix_tables_fix_their_prefix():
     # the pruning is sound only if each prefix-k relabeling permutes the
-    # first k slots among themselves; the leaf table holds every relabeling
-    # once, in the group of the vertex it sends to 0
+    # first k slots among themselves; the leaf table holds every
+    # non-identity vertex permutation once, in the group of the vertex it
+    # sends to 0, with its relabeling of the slots; gamma = 2's swap too,
+    # though it fixes the one slot
     for gamma in range(1, 6):
         slots = harness._slots(gamma)
         n = len(slots)
@@ -97,16 +102,16 @@ def test_prefix_tables_fix_their_prefix():
             for image in images:
                 assert sorted(image) == list(range(k)) and image != tuple(range(k))
         index = {s: k for k, s in enumerate(slots)}
-        sent_to_0 = {}  # full image -> the vertices its relabelings send to 0
-        for perm in permutations(range(gamma)):
-            image = [0] * n
+        leaf = [
+            (u, perm, get(tuple(range(n)))) for u, group in enumerate(groups) for get, perm in group
+        ]
+        assert sorted(perm for _, perm, _ in leaf) == list(permutations(range(gamma)))[1:]
+        for u, perm, image in leaf:
+            expected = [0] * n
             for k, (i, j) in enumerate(slots):
-                image[index[tuple(sorted((perm[i], perm[j])))]] = k
-            sent_to_0.setdefault(tuple(image), set()).add(perm.index(0))
-        leaf = [(u, g(tuple(range(n)))) for u, group in enumerate(groups) for g in group]
-        assert sorted(image for _, image in leaf) == sorted(set(sent_to_0) - {tuple(range(n))})
-        for u, image in leaf:
-            assert u in sent_to_0[image]
+                expected[index[tuple(sorted((perm[i], perm[j])))]] = k
+            assert perm[u] == 0 and image == tuple(expected), (perm, image)
+    assert [perm for _, perm in harness._perm_getters(2, harness._slots(2))[-1][1]] == [(1, 0)]
 
 
 def _connected(gamma, slots, vec):
@@ -131,7 +136,7 @@ def test_pruned_prefixes_have_no_connected_completion(monkeypatch):
 
     def spied(gamma, slots):
         *tables, groups = getters(gamma, slots)
-        groups[0] = [spy(met)] + groups[0]
+        groups[0] = [(spy(met), None)] + groups[0]  # adds None to the unread automorphisms
         return [[spy(met)] + table + [spy(passed)] for table in tables] + [groups]
 
     monkeypatch.setattr(harness, "_perm_getters", spied)
@@ -139,7 +144,7 @@ def test_pruned_prefixes_have_no_connected_completion(monkeypatch):
         met.clear()
         passed.clear()
         slots = harness._slots(gamma)
-        got = list(_canonical_vectors(gamma, max_edges))
+        got = [vec for vec, _ in _canonical_vectors(gamma, max_edges)]
         assert got == canonical_vectors_by_min(gamma, max_edges, False)
         dropped = [
             p + (m,) for p in passed for m in range(max_edges - sum(p) + 1) if p + (m,) not in met
@@ -167,10 +172,10 @@ def test_groups_passed_over_for_a_larger_key_hold_no_smaller_image():
                 key = sorted(vec[pair[u][v]] for v in range(gamma) if v != u)
                 if key > row:
                     skipped += 1
-                    assert all(g(vec) > vec for g in group), (vec, u)
+                    assert all(g(vec) > vec for g, _ in group), (vec, u)
                 elif key < row:
                     rejected += 1
-                    assert any(g(vec) < vec for g in group), (vec, u)
+                    assert any(g(vec) < vec for g, _ in group), (vec, u)
     assert skipped and rejected
 
 
@@ -195,13 +200,41 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
 
             return checked
 
-        tables[-1] = [[connected_only(get) for get in group] for group in tables[-1]]
+        tables[-1] = [[(connected_only(get), perm) for get, perm in group] for group in tables[-1]]
         return tables
 
     monkeypatch.setattr(harness, "_perm_getters", guarded)
     for args, vecs in expected.items():
         assert list(_canonical_vectors(*args)) == vecs, args
     assert len(seen) > sum(map(len, expected.values()))
+
+
+def test_the_yielded_automorphisms_are_the_stabilizer():
+    # every vertex permutation p that keeps the pairing matrix, identity
+    # first, each once; gamma = 2 keeps the swap, which moves a loop
+    graphs = list(connected_multigraphs(5, 8))
+    for g, automorphisms in graphs:
+        m, n = g.pairing_matrix, g.gamma
+        stabilizer = [
+            p for p in permutations(range(n))
+            if all(m[p[i]][p[j]] == m[i][j] for i in range(n) for j in range(n))
+        ]
+        assert automorphisms[0] == tuple(range(n)), g.edges
+        assert len(set(automorphisms)) == len(automorphisms), g.edges
+        assert sorted(automorphisms) == stabilizer, g.edges
+    assert graphs[0][1] == [(0,)]
+    pairs = [automorphisms for g, automorphisms in graphs if g.gamma == 2]
+    assert pairs and all(a == [(0, 1), (1, 0)] for a in pairs)
+
+
+def test_burnside_counts_the_listed_loop_placements():
+    total = 0
+    for g, automorphisms in connected_multigraphs(5, 8):
+        budget = 8 - g.edge_count
+        listed = sum(1 for _ in _loop_placements(automorphisms, budget))
+        assert loop_placements_by_burnside(automorphisms, budget) == listed, g.edges
+        total += listed
+    assert total == 3300
 
 
 def test_exact_graph_counts():
@@ -266,8 +299,7 @@ def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
 
 
 def test_enumeration_contains_known_shapes():
-    graphs = list(connected_multigraphs(3, 3))
-    matrices = {g.pairing_matrix for g in graphs}
+    matrices = {g.pairing_matrix for g, _ in connected_multigraphs(3, 3)}
 
     def some_relabeling_present(edges):
         for perm in permutations(range(3)):
@@ -321,7 +353,7 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 def test_run_harness_builds_each_graph_once(monkeypatch):
     # when nothing fails: each loopless graph once, plus its contracted
     # curve when it has a separating node, and no curve with a loop
-    bases = list(connected_multigraphs(4, 6))
+    bases = [g for g, _ in connected_multigraphs(4, 6)]
     bridged = sum(bool(g.bridges) for g in bases)
     built = []
     init = CurveGraph.__init__

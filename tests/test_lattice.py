@@ -256,7 +256,7 @@ def test_equivalent_and_classes_match_chip_firing():
     # by one amount that makes every entry off component 0 nonnegative
     rng = random.Random(3)
     pairs = same = 0
-    for g in connected_multigraphs(5, 8):
+    for g, _ in connected_multigraphs(5, 8):
         for _ in range(5):
             p = [rng.randint(-3, 3) for _ in range(g.gamma)]
             q = [rng.randint(-3, 3) for _ in range(g.gamma)]
