@@ -176,7 +176,8 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     its class's representative, and the default (each class's first
     partitional member) works exactly when no two partitional q share a
     class.  So does the pair test of partitional_pairs_certified, at one
-    class lookup per q instead of O(P^2) pair tests.
+    class lookup per q instead of O(P^2) pair tests: _least_shared_degree,
+    its table filled from reps first when they are given.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -206,10 +207,18 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
                 f"the choice has {len(table)} classes, the curve has {order}"
             )
         table = {cls: piece_totals(g, rv) for cls, rv in table.items()}
-    for q in partitional_multidegrees(x.gamma, d):
+    return _least_shared_degree(x, d, table) > d
+
+
+def _least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
+    """The least d <= top at which two partitional multidegrees of the
+    bridgeless x share a class, top + 1 if none do (cross_check_naturality
+    says why one reversed walk finds it).  table maps a class to the vector
+    holding it; a class held by another vector, reps included, collides."""
+    for q in reversed(partitional_multidegrees(x.gamma, top)):
         if table.setdefault(multidegree_class(x, q), q) != q:
-            return False
-    return True
+            return top - q[0]
+    return top + 1
 
 
 def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
@@ -240,8 +249,14 @@ def cross_check_naturality(g: CurveGraph, max_degree: int) -> list:
 
     is_natural asks for distinct classes of the partitional multidegrees of
     X' = g.contracted; the criterion takes one minimum cut of X' for every
-    degree.  Every curve has a natural degree-1 Abel map ([CE]), so a cut
-    below 2 raises RuntimeError.  The enumeration harness demands [].
+    degree, and is_natural reads every degree off one walk of the
+    degree-max_degree listing in reverse.  There q[0] falls from max_degree
+    to 0, so the tails q[1:] come by ascending total s; those of total <= s
+    are the degree-s listing shifted along e_0, which shifts every class
+    with it.  So the first class taken twice, at total s, is a collision at
+    every degree from s on and at none below.  Every curve has a natural
+    degree-1 Abel map ([CE]), so a cut below 2 raises RuntimeError.  The
+    enumeration harness demands [].
 
     >>> cross_check_naturality(CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)]), 4)
     []
@@ -251,5 +266,5 @@ def cross_check_naturality(g: CurveGraph, max_degree: int) -> list:
     eps = essential_connectivity(g)
     if eps < 2:
         raise RuntimeError(f"essential connectivity below 2 on {g!r}")
-    verdicts = ((d, is_natural(g, d)) for d in range(1, max_degree + 1))
-    return [(d, yes) for d, yes in verdicts if yes != (eps > d)]
+    shared = _least_shared_degree(g.contracted, max_degree, {})
+    return [(d, d < shared) for d in range(1, max_degree + 1) if (d < shared) != (eps > d)]

@@ -25,8 +25,8 @@ graph's automorphisms.
 The harness counts loop placements: loops are counts per component on a
 loopless graph g, one count vector per orbit of g's automorphisms.  A loop
 enters no pairing and no cut, so run_harness cross-checks g's X' once per
-distinct pairing matrix and counts g's loop placements, listing them only
-when X' fails.
+distinct pairing matrix and counts g's loop placements by Burnside's lemma
+(_loop_placement_count), listing them only when X' fails.
 """
 
 from __future__ import annotations
@@ -126,6 +126,30 @@ def _loop_placements(automorphisms: list, budget: int) -> Iterator[tuple]:
     return placements((), budget)
 
 
+def _loop_placement_count(automorphisms: list, budget: int) -> int:
+    # the number _loop_placements lists, by Burnside's lemma: the mean over
+    # the group of the placements each permutation fixes.  p fixes exactly
+    # the count vectors constant on its cycles: one count per cycle, weighted
+    # by the cycle's length, a coin-change count
+    fixed = 0
+    for p in automorphisms:
+        ways = [1] + [0] * budget  # ways[t]: counts on the cycles so far, weighted total t
+        seen: set = set()
+        for start in range(len(p)):
+            length, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v, length = p[v], length + 1
+            if length:  # 0: start lies on a cycle already counted
+                for t in range(length, budget + 1):
+                    ways[t] += ways[t - length]
+        fixed += sum(ways)
+    count, rest = divmod(fixed, len(automorphisms))
+    if rest:  # not a group
+        raise RuntimeError(f"{fixed} fixed placements over {len(automorphisms)} automorphisms")
+    return count
+
+
 def _with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot order
     return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
 
@@ -167,9 +191,11 @@ class HarnessResult(NamedTuple):
 def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
     """cross_check_naturality on the contracted curve of each enumerated graph.
 
-    Each loopless graph stands for all its loop placements.  Each distinct
-    pairing matrix of X' = g.contracted is cross-checked once and its failures
-    given to every graph that shares it; the failures are sorted.
+    Each loopless graph stands for all its loop placements, counted.  Each
+    distinct pairing matrix of X' = g.contracted is cross-checked once and
+    its failures given to every graph that shares it, whose placements are
+    then listed; RuntimeError if they do not number the count.  The
+    failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -182,7 +208,12 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
         if x.pairing_matrix not in decided:
             decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)
         fails = decided[x.pairing_matrix]
-        for counts in _loop_placements(automorphisms, max_edges - g.edge_count):
-            graphs += 1  # and a record only on failure
-            failures += [(g.components, _with_loops(g, counts), d, yes) for d, yes in fails]
+        budget = max_edges - g.edge_count
+        count = _loop_placement_count(automorphisms, budget)
+        graphs += count
+        if fails:
+            listed = [_with_loops(g, counts) for counts in _loop_placements(automorphisms, budget)]
+            if len(listed) != count:
+                raise RuntimeError(f"{len(listed)} loop placements listed, {count} counted on {g!r}")
+            failures += [(g.components, edges, d, yes) for edges in listed for d, yes in fails]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

@@ -14,6 +14,7 @@ from abelmap import (
     NotATwisterError,
     crossing_nodes_of_multidegree,
     is_natural,
+    multidegree_class,
     normalize_divisor,
     partitional_multidegrees,
     twister_divisor,
@@ -151,29 +152,13 @@ def multigraphs_with_loops(max_gamma: int, max_edges: int):
             yield CurveGraph(g.components, _with_loops(g, counts))
 
 
-def loop_placements_by_burnside(automorphisms: list, budget: int) -> int:
-    """The number of loop placements of total at most budget up to the
-    automorphisms (a group of vertex permutations), by Burnside's lemma: the
-    mean over the group of the placements each permutation fixes, with no
-    placement listed.  p fixes exactly the count vectors that are constant
-    on its cycles: one count per cycle, weighted by the cycle's length, a
-    coin-change count."""
-    fixed = 0
-    for p in automorphisms:
-        ways = [1] + [0] * budget  # ways[t]: counts on the cycles so far, weighted total t
-        seen: set = set()
-        for start in range(len(p)):
-            length, v = 0, start
-            while v not in seen:
-                seen.add(v)
-                v, length = p[v], length + 1
-            if length:  # 0: start lies on a cycle already counted
-                for t in range(length, budget + 1):
-                    ways[t] += ways[t - length]
-        fixed += sum(ways)
-    count, rest = divmod(fixed, len(automorphisms))
-    assert rest == 0, (fixed, len(automorphisms))
-    return count
+def classes_are_distinct(x: CurveGraph, d: int) -> bool:
+    """is_natural(x, d) at the default choice, one degree at a time: the
+    partitional multidegrees of the bridgeless curve x lie in pairwise
+    distinct classes when the set of their classes is as long as their
+    listing."""
+    parts = partitional_multidegrees(x.gamma, d)
+    return len({multidegree_class(x, q) for q in parts}) == len(parts)
 
 
 def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:

@@ -31,6 +31,7 @@ from abelmap.lattice import _lattice
 from abelmap.levels import piece_totals
 from helpers import (
     bridges_by_removal,
+    classes_are_distinct,
     connected_graphs,
     cut_edges,
     cycle,
@@ -253,6 +254,21 @@ def test_is_natural_matches_pairwise_condition():
             if pairwise != has_natural_abel_map(g, d):
                 disagreements.append((d, pairwise))
         assert cross_check_naturality(g, 3) == disagreements
+
+
+def test_the_reversed_walk_finds_every_degree_the_set_test_finds():
+    # one walk of the top listing answers every lower degree: the degrees
+    # below its answer are those at which the set of classes has no repeat
+    contracted = {}
+    for g, _ in connected_multigraphs(6, 9):
+        contracted.setdefault(g.contracted.pairing_matrix, g.contracted)
+    assert len(contracted) == 1376
+    for x in contracted.values():
+        distinct = [d for d in range(1, 6) if classes_are_distinct(x, d)]
+        for top in range(1, 6):
+            shared = abel._least_shared_degree(x, top, {})
+            below = [d for d in range(1, top + 1) if d < shared]
+            assert below == [d for d in distinct if d <= top], (x.edges, top)
 
 
 def test_is_natural_with_reps_matches_the_definition():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, compress, permutations
+from itertools import combinations, compress, islice, permutations
 
 import pytest
 
@@ -19,6 +19,7 @@ from abelmap import (
 )
 from abelmap.harness import (
     _canonical_vectors,
+    _loop_placement_count,
     _loop_placements,
     connected_multigraphs,
     run_harness,
@@ -28,7 +29,6 @@ from helpers import (
     _bounded_vectors,
     canonical_vectors_by_min,
     harness_failures_by_graph,
-    loop_placements_by_burnside,
     loopful_orbit_minimum,
     multigraphs_with_loops,
 )
@@ -232,7 +232,7 @@ def test_burnside_counts_the_listed_loop_placements():
     for g, automorphisms in connected_multigraphs(5, 8):
         budget = 8 - g.edge_count
         listed = sum(1 for _ in _loop_placements(automorphisms, budget))
-        assert loop_placements_by_burnside(automorphisms, budget) == listed, g.edges
+        assert _loop_placement_count(automorphisms, budget) == listed, g.edges
         total += listed
     assert total == 3300
 
@@ -283,8 +283,9 @@ def test_a_sweep_keeps_one_lattice():
 
 
 def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
-    # graphs come gamma by gamma, each checked at degrees 1..D: past D = 8
-    # the kept listings still serve every graph, and no listing is built twice
+    # graphs come gamma by gamma, each checked at degrees 1..D by one walk of
+    # its degree-D listing: at D = 9 the kept listings still serve every
+    # graph, and no listing is built twice
     built = []
 
     def counted(pool, r):
@@ -295,7 +296,7 @@ def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
     monkeypatch.setattr(abel, "combinations", counted)
     result = run_harness(3, 4, 9)
     assert result.ok and result.graphs > 9
-    assert sorted(built) == [(gamma, d) for gamma in (1, 2, 3) for d in range(1, 10)]
+    assert sorted(built) == [(1, 9), (2, 9), (3, 9)]
 
 
 def test_enumeration_contains_known_shapes():
@@ -413,9 +414,9 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
 
 
 def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
-    # every degree of one X' is cross-checked on one minimum cut, and each
-    # degree's class route runs once
-    calls = {"essential_connectivity": 0, "is_natural": 0}
+    # every degree of one X' is cross-checked on one minimum cut and one
+    # class walk, with no per-degree call of is_natural
+    calls = {"essential_connectivity": 0, "_least_shared_degree": 0, "is_natural": 0}
 
     def spy(name):
         real = getattr(abel, name)
@@ -426,11 +427,12 @@ def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
 
         monkeypatch.setattr(abel, name, counted)
 
-    spy("essential_connectivity")
-    spy("is_natural")
+    for name in calls:
+        spy(name)
     distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
     assert run_harness(4, 6, 3).ok
-    assert calls == {"essential_connectivity": distinct, "is_natural": distinct * 3}
+    assert distinct == 38
+    assert calls == {"essential_connectivity": distinct, "_least_shared_degree": distinct, "is_natural": 0}
 
 
 def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkeypatch):
@@ -457,3 +459,19 @@ def test_run_harness_lists_every_loop_placement_of_a_failing_graph(monkeypatch):
     loops = sorted(tuple(sorted(edges.count((i, i)) for i in (0, 1))) for edges in two)
     assert loops == [(0, 0), (0, 1), (0, 2), (1, 1)]
     assert len(result.failures) > len(two)  # a pendant component keeps X'
+
+
+def test_run_harness_checks_the_listed_placements_against_the_count(monkeypatch):
+    # a failing graph's placements are listed and must number the Burnside
+    # count; the check raises rather than asserts, so it also runs under -O
+    def double_node_fails(x, max_degree):
+        return [(1, True)] if x.pairing_matrix == ((-2, 2), (2, -2)) else []
+
+    def one_dropped(automorphisms, budget):
+        return islice(_loop_placements(automorphisms, budget), 1, None)
+
+    monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
+    assert len(run_harness(2, 4, 1).failures) == 4
+    monkeypatch.setattr(harness, "_loop_placements", one_dropped)
+    with pytest.raises(RuntimeError, match="3 loop placements listed, 4 counted"):
+        run_harness(2, 4, 1)
