@@ -24,9 +24,10 @@ graph's automorphisms.
 
 The harness counts loop placements: loops are counts per component on a
 loopless graph g, one count vector per orbit of g's automorphisms.  A loop
-enters no pairing and no cut, so run_harness cross-checks g's X' once per
-distinct pairing matrix and counts g's loop placements by Burnside's lemma
-(_loop_placement_count), listing them only when X' fails.
+enters no pairing and no cut, so every placement on g gets g's verdict:
+run_harness cross-checks g's X' once per distinct pairing matrix, counts
+g's loop placements by Burnside's lemma (_loop_placement_count), and
+reports a failure on g itself, never on a placement.
 """
 
 from __future__ import annotations
@@ -110,27 +111,12 @@ def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
     return rec((), max_edges, identity, gamma)
 
 
-def _loop_placements(automorphisms: list, budget: int) -> Iterator[tuple]:
-    # loop counts per component, totalling at most budget, each the least of
-    # its orbit under the automorphisms (vertex permutations, identity first)
-    n = len(automorphisms[0])
-    getters = [itemgetter(*p) for p in automorphisms[1:]]
-
-    def placements(prefix: tuple, budget: int) -> Iterator[tuple]:
-        if len(prefix) < n:
-            for count in range(budget + 1):
-                yield from placements(prefix + (count,), budget - count)
-        elif all(get(prefix) >= prefix for get in getters):
-            yield prefix
-
-    return placements((), budget)
-
-
 def _loop_placement_count(automorphisms: list, budget: int) -> int:
-    # the number _loop_placements lists, by Burnside's lemma: the mean over
-    # the group of the placements each permutation fixes.  p fixes exactly
-    # the count vectors constant on its cycles: one count per cycle, weighted
-    # by the cycle's length, a coin-change count
+    # the number of loop placements (tests/helpers.py's loop_placements lists
+    # them) by Burnside's lemma: the mean over the group of the placements
+    # each permutation fixes.  p fixes exactly the count vectors constant on
+    # its cycles: one count per cycle, weighted by the cycle's length, a
+    # coin-change count
     fixed = 0
     for p in automorphisms:
         ways = [1] + [0] * budget  # ways[t]: counts on the cycles so far, weighted total t
@@ -145,13 +131,12 @@ def _loop_placement_count(automorphisms: list, budget: int) -> int:
                     ways[t] += ways[t - length]
         fixed += sum(ways)
     count, rest = divmod(fixed, len(automorphisms))
-    if rest:  # not a group
+    # a remainder means no group, but a non-group can divide evenly
+    # ([(0, 1, 2), (1, 2, 0)] at budget 3 gives 11), so tests still compare
+    # the count with the lister
+    if rest:
         raise RuntimeError(f"{fixed} fixed placements over {len(automorphisms)} automorphisms")
     return count
-
-
-def _with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot order
-    return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
 
 
 def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[CurveGraph, list]]:
@@ -181,7 +166,7 @@ def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[Curv
 class HarnessResult(NamedTuple):
     graphs: int
     checks: int
-    failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...]
+    failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...], edges loopless
 
     @property
     def ok(self) -> bool:
@@ -193,9 +178,9 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
 
     Each loopless graph stands for all its loop placements, counted.  Each
     distinct pairing matrix of X' = g.contracted is cross-checked once and
-    its failures given to every graph that shares it, whose placements are
-    then listed; RuntimeError if they do not number the count.  The
-    failures are sorted.
+    its failures given to every graph that shares it.  A failure names the
+    loopless graph: every loop placement on it fails alike.  The failures
+    are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -207,13 +192,6 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
         x = g.contracted
         if x.pairing_matrix not in decided:
             decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)
-        fails = decided[x.pairing_matrix]
-        budget = max_edges - g.edge_count
-        count = _loop_placement_count(automorphisms, budget)
-        graphs += count
-        if fails:
-            listed = [_with_loops(g, counts) for counts in _loop_placements(automorphisms, budget)]
-            if len(listed) != count:
-                raise RuntimeError(f"{len(listed)} loop placements listed, {count} counted on {g!r}")
-            failures += [(g.components, edges, d, yes) for edges in listed for d, yes in fails]
+        graphs += _loop_placement_count(automorphisms, max_edges - g.edge_count)
+        failures += [(g.components, g.edges, d, yes) for d, yes in decided[x.pairing_matrix]]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

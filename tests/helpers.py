@@ -19,7 +19,7 @@ from abelmap import (
     partitional_multidegrees,
     twister_divisor,
 )
-from abelmap.harness import _loop_placements, _with_loops, connected_multigraphs
+from abelmap.harness import connected_multigraphs
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
 # X's own Hermite basis, for the dense oracles below, in a cache of its own
@@ -148,8 +148,18 @@ def multigraphs_with_loops(max_gamma: int, max_edges: int):
     connected_multigraphs (its empty loop placement), then its other loop
     placements up to its automorphisms."""
     for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
-        for counts in _loop_placements(automorphisms, max_edges - g.edge_count):
-            yield CurveGraph(g.components, _with_loops(g, counts))
+        for counts in loop_placements(automorphisms, max_edges - g.edge_count):
+            yield CurveGraph(g.components, with_loops(g, counts))
+
+
+def loop_placements(automorphisms: list, budget: int):
+    # loop counts per component, totalling <= budget, each the least of its orbit
+    vectors = _bounded_vectors(len(automorphisms[0]), budget)
+    return (v for v in vectors if all(tuple(v[i] for i in p) >= v for p in automorphisms))
+
+
+def with_loops(g: CurveGraph, counts: tuple) -> tuple:  # in row-major slot order
+    return tuple(sorted(g.edges + tuple((i, i) for i, c in enumerate(counts) for _ in range(c))))
 
 
 def classes_are_distinct(x: CurveGraph, d: int) -> bool:

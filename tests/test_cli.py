@@ -597,6 +597,7 @@ def test_harness_failure_says_which_route_said_yes(monkeypatch, capsys):
     # a failing degree records is_natural, the class route; the criterion
     # said the opposite.  Every graph fails at degree 2 here, so both
     # verdicts show: two parallel nodes have no natural map, the rest do.
+    # A failure names the loopless graph: one component, one node, a double node.
     check = harness.cross_check_naturality
 
     def fail_at_two(x, max_degree):  # the real check at every other degree
@@ -611,16 +612,16 @@ def test_harness_failure_says_which_route_said_yes(monkeypatch, capsys):
         tuple(map(tuple, f["edges"])): f["natural_by_classes"]
         for f in out["failures"] if f["degree"] == 2
     }
-    assert len(verdicts) == len(out["failures"]) == 6
-    assert [edges for edges, yes in verdicts.items() if not yes] == [((0, 1), (0, 1))]
+    assert verdicts == {(): True, ((0, 1),): True, ((0, 1), (0, 1)): False}
+    assert len(out["failures"]) == 3
     assert main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "6 failing instances:"
+    assert lines[0] == "3 failing instances:"
     assert (
         "  components=['C1', 'C2'] edges=[(0, 1), (0, 1)] degree=2"
         " natural_by_classes=False natural_by_epsilon=True"
     ) in lines
-    assert sum("natural_by_classes=True natural_by_epsilon=False" in x for x in lines) == 5
+    assert sum("natural_by_classes=True natural_by_epsilon=False" in x for x in lines) == 2
 
 
 def test_disconnected_graph_is_an_error(graph_file, capsys):

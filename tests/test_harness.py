@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, compress, permutations
 
 import pytest
 
@@ -20,7 +20,6 @@ from abelmap import (
 from abelmap.harness import (
     _canonical_vectors,
     _loop_placement_count,
-    _loop_placements,
     connected_multigraphs,
     run_harness,
 )
@@ -29,6 +28,7 @@ from helpers import (
     _bounded_vectors,
     canonical_vectors_by_min,
     harness_failures_by_graph,
+    loop_placements,
     loopful_orbit_minimum,
     multigraphs_with_loops,
 )
@@ -231,10 +231,19 @@ def test_burnside_counts_the_listed_loop_placements():
     total = 0
     for g, automorphisms in connected_multigraphs(5, 8):
         budget = 8 - g.edge_count
-        listed = sum(1 for _ in _loop_placements(automorphisms, budget))
+        listed = sum(1 for _ in loop_placements(automorphisms, budget))
         assert _loop_placement_count(automorphisms, budget) == listed, g.edges
         total += listed
     assert total == 3300
+
+
+def test_loop_placement_count_refuses_a_remainder():
+    # raises rather than asserts, so it also runs under python -O.  A
+    # non-group can divide evenly and pass, so the test above compares the
+    # count with the lister
+    with pytest.raises(RuntimeError, match="^28 fixed placements over 3 automorphisms$"):
+        _loop_placement_count([(0, 1, 2), (1, 0, 2), (1, 2, 0)], 3)
+    assert _loop_placement_count([(0, 1, 2), (1, 2, 0)], 3) == 11
 
 
 def test_exact_graph_counts():
@@ -404,12 +413,18 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
             if (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 == 0
         ]
 
-    expected = harness_failures_by_graph(4, 6, 3, disagree_on_some)
+    # run_harness names each failing loopless graph once: the oracle's
+    # loopful graphs with their loops stripped must agree to one entry
+    loopful = harness_failures_by_graph(4, 6, 3, disagree_on_some)
+    expected = tuple(sorted({
+        (components, tuple(e for e in edges if e[0] != e[1]), d, yes)
+        for components, edges, d, yes in loopful
+    }))
     distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
     monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
     calls.clear()
     result = run_harness(4, 6, 3)
-    assert 0 < len(expected) < result.checks and result.failures == expected
+    assert (len(loopful), len(expected)) == (283, 63) and result.failures == expected
     assert len(calls) == len(set(calls)) == distinct
 
 
@@ -443,35 +458,19 @@ def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkey
         run_harness(3, 3, 1)
 
 
-def test_run_harness_lists_every_loop_placement_of_a_failing_graph(monkeypatch):
-    # only the double node fails; on two components with up to two loops
-    # beside it, its four placements up to the swap are each listed once
+def test_run_harness_reports_each_failing_loopless_graph_once(monkeypatch):
+    # only the double node fails; loops beside it change no verdict, so
+    # each graph whose X' it is is reported once, with no loop
     def double_node_fails(x, max_degree):
         if x.pairing_matrix != ((-2, 2), (2, -2)):
             return []
         return [(d, is_natural(x, d)) for d in range(1, max_degree + 1)]
 
-    expected = harness_failures_by_graph(3, 4, 1, double_node_fails)
     monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
     result = run_harness(3, 4, 1)
-    assert result.failures == expected
-    two = [edges for components, edges, d, yes in result.failures if len(components) == 2]
-    loops = sorted(tuple(sorted(edges.count((i, i)) for i in (0, 1))) for edges in two)
-    assert loops == [(0, 0), (0, 1), (0, 2), (1, 1)]
-    assert len(result.failures) > len(two)  # a pendant component keeps X'
-
-
-def test_run_harness_checks_the_listed_placements_against_the_count(monkeypatch):
-    # a failing graph's placements are listed and must number the Burnside
-    # count; the check raises rather than asserts, so it also runs under -O
-    def double_node_fails(x, max_degree):
-        return [(1, True)] if x.pairing_matrix == ((-2, 2), (2, -2)) else []
-
-    def one_dropped(automorphisms, budget):
-        return islice(_loop_placements(automorphisms, budget), 1, None)
-
-    monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
-    assert len(run_harness(2, 4, 1).failures) == 4
-    monkeypatch.setattr(harness, "_loop_placements", one_dropped)
-    with pytest.raises(RuntimeError, match="3 loop placements listed, 4 counted"):
-        run_harness(2, 4, 1)
+    assert result.failures == (
+        (("C1", "C2"), ((0, 1), (0, 1)), 1, True),
+        (("C1", "C2", "C3"), ((0, 2), (1, 2), (1, 2)), 1, True),  # a pendant component keeps X'
+    )
+    assert not any(a == b for _, edges, _, _ in result.failures for a, b in edges)
+    assert result.graphs == len(list(multigraphs_with_loops(3, 4)))
