@@ -24,10 +24,11 @@ graph's automorphisms.
 
 The harness counts loop placements: loops are counts per component on a
 loopless graph g, one count vector per orbit of g's automorphisms.  A loop
-enters no pairing and no cut, so every placement on g gets g's verdict:
-run_harness cross-checks g's X' once per distinct pairing matrix, counts
-g's loop placements by Burnside's lemma (_loop_placement_count), and
-reports a failure on g itself, never on a placement.
+enters no pairing and no cut, so every placement on g gets g's verdict,
+and a bridged g's X' (loopless, connected, bridgeless and smaller) is a
+bridgeless graph of the sweep up to isomorphism.  So run_harness counts
+g's placements by Burnside's lemma (_loop_placement_count), cross-checks
+g only when it is bridgeless, and reports a failure on g itself.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[Curv
 class HarnessResult(NamedTuple):
     graphs: int
     checks: int
-    failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...], edges loopless
+    failures: tuple  # tuple[(components, edges, degree, natural_by_classes), ...], edges bridgeless
 
     @property
     def ok(self) -> bool:
@@ -174,24 +175,22 @@ class HarnessResult(NamedTuple):
 
 
 def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
-    """cross_check_naturality on the contracted curve of each enumerated graph.
+    """cross_check_naturality on every contracted curve of the sweep.
 
     Each loopless graph stands for all its loop placements, counted.  Each
-    distinct pairing matrix of X' = g.contracted is cross-checked once and
-    its failures given to every graph that shares it.  A failure names the
-    loopless graph: every loop placement on it fails alike.  The failures
-    are sorted.
+    bridgeless graph is its own X' and is cross-checked once; a bridged
+    graph's X' is isomorphic to one of them, so it is only counted.  A
+    failure names the bridgeless graph: every loop placement on it, and
+    every curve whose X' it is, fails alike.  The failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     # a cycle or a double node has the most pieces: refuse their degrees now
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
     graphs, failures = 0, []
-    decided: dict = {}  # X' pairing matrix -> [(d, natural_by_classes), ...] that fail
     for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
-        x = g.contracted
-        if x.pairing_matrix not in decided:
-            decided[x.pairing_matrix] = cross_check_naturality(x, max_degree)
         graphs += _loop_placement_count(automorphisms, max_edges - g.edge_count)
-        failures += [(g.components, g.edges, d, yes) for d, yes in decided[x.pairing_matrix]]
+        if not g.bridges:  # a bridged g's X' is one of the sweep's bridgeless graphs
+            fails = cross_check_naturality(g, max_degree)
+            failures += [(g.components, g.edges, d, yes) for d, yes in fails]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

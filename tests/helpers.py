@@ -427,10 +427,10 @@ def choose_representatives_by_gamma(g: CurveGraph, d: int) -> dict:
 
 
 def harness_failures_by_graph(max_gamma: int, max_edges: int, max_degree: int, check) -> tuple:
-    """run_harness's failures with nothing shared between graphs: the
-    degrees that check, in place of cross_check_naturality, finds on each
-    graph's own contracted curve, and the class route's verdict on the
-    graph itself."""
+    """run_harness's failures decided on every graph, loops and separating
+    nodes included: the degrees that check, in place of
+    cross_check_naturality, finds on each graph's own contracted curve, and
+    the class route's verdict on the graph itself."""
     return tuple(sorted(
         (g.components, g.edges, d, is_natural(g, d))
         for g in multigraphs_with_loops(max_gamma, max_edges)

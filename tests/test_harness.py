@@ -361,8 +361,8 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 
 
 def test_run_harness_builds_each_graph_once(monkeypatch):
-    # when nothing fails: each loopless graph once, plus its contracted
-    # curve when it has a separating node, and no curve with a loop
+    # when nothing fails: each loopless graph once, no curve with a loop and
+    # no X': a bridgeless graph is its own, and a bridged one is only counted
     bases = [g for g, _ in connected_multigraphs(4, 6)]
     bridged = sum(bool(g.bridges) for g in bases)
     built = []
@@ -375,8 +375,7 @@ def test_run_harness_builds_each_graph_once(monkeypatch):
     monkeypatch.setattr(CurveGraph, "__init__", recording_init)
     res = run_harness(4, 6, 2)
     assert res.ok and res.graphs > len(bases) > bridged > 0
-    assert len(built) == len(bases) + bridged
-    assert not any(a == b for edges in built for a, b in edges)
+    assert built == [g.edges for g in bases]
 
 
 def test_run_harness_counts_every_loop_placement():
@@ -392,14 +391,32 @@ def test_run_harness_counts_every_loop_placement():
 
 
 def test_graphs_that_share_a_contracted_pairing_matrix_share_their_verdicts():
-    # the oracle for run_harness's key: each graph decided on its own agrees
-    # with every graph whose X' has the same pairing matrix
+    # the oracle for run_harness deciding one graph per X': each graph
+    # decided on its own agrees with every graph whose X' is isomorphic to
+    # its own, loops aside, and so with every graph whose X' has the same
+    # pairing matrix
     verdicts: dict = {}
+    matrices = set()
     for g in multigraphs_with_loops(5, 8):
         got = tuple((is_natural(g, d), has_natural_abel_map(g, d)) for d in range(1, 5))
-        verdicts.setdefault(g.contracted.pairing_matrix, set()).add(got)
-    assert len(verdicts) == 304
+        x = g.contracted
+        matrices.add(x.pairing_matrix)
+        loopless = CurveGraph(x.components, [e for e in x.edges if e[0] != e[1]])
+        verdicts.setdefault(loopful_orbit_minimum(loopless), set()).add(got)
+    assert (len(matrices), len(verdicts)) == (304, 208)
     assert all(len(v) == 1 for v in verdicts.values())
+
+
+def test_every_contracted_curve_is_a_bridgeless_graph_of_the_sweep():
+    # why run_harness cross-checks only the bridgeless graphs: a bridged
+    # graph's X' is loopless, connected, bridgeless and smaller, so it is
+    # isomorphic to one bridgeless graph of the same enumeration
+    graphs = [g for g, _ in connected_multigraphs(5, 8)]
+    bridgeless = {loopful_orbit_minimum(g) for g in graphs if not g.bridges}
+    contracted = {loopful_orbit_minimum(g.contracted) for g in graphs if g.bridges}
+    assert (len(bridgeless), len(contracted)) == (208, 60)
+    assert len(bridgeless) == sum(not g.bridges for g in graphs)  # no two isomorphic
+    assert contracted <= bridgeless
 
 
 def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
@@ -413,24 +430,37 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
             if (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 == 0
         ]
 
-    # run_harness names each failing loopless graph once: the oracle's
-    # loopful graphs with their loops stripped must agree to one entry
+    # run_harness names each failing bridgeless graph once: the oracle's
+    # loopful graphs with their loops stripped, and the bridged ones left
+    # out, must agree to one entry
     loopful = harness_failures_by_graph(4, 6, 3, disagree_on_some)
-    expected = tuple(sorted({
+    loopless = {
         (components, tuple(e for e in edges if e[0] != e[1]), d, yes)
         for components, edges, d, yes in loopful
-    }))
-    distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
+    }
+    graphs = {(g.components, g.edges): g for g, _ in connected_multigraphs(4, 6)}
+    bridged = {f for f in loopless if graphs[f[:2]].bridges}
+    expected = tuple(sorted(loopless - bridged))
     monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
     calls.clear()
     result = run_harness(4, 6, 3)
-    assert (len(loopful), len(expected)) == (283, 63) and result.failures == expected
-    assert len(calls) == len(set(calls)) == distinct
+    assert (len(loopful), len(loopless), len(expected)) == (283, 63, 32)
+    assert result.failures == expected
+    assert len(calls) == len(set(calls)) == 32
+    # a bridged graph left out fails as the reported graph its X' is
+    reported: dict = {}
+    for f in result.failures:
+        reported.setdefault(loopful_orbit_minimum(graphs[f[:2]]), set()).add(f[2:])
+    left_out: dict = {}
+    for f in bridged:
+        left_out.setdefault(graphs[f[:2]], set()).add(f[2:])
+    assert all(reported[loopful_orbit_minimum(g.contracted)] == v for g, v in left_out.items())
 
 
 def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
     # every degree of one X' is cross-checked on one minimum cut and one
-    # class walk, with no per-degree call of is_natural
+    # class walk, with no per-degree call of is_natural; each bridgeless
+    # graph is its own X', and a bridged one's X' is one of them
     calls = {"essential_connectivity": 0, "_least_shared_degree": 0, "is_natural": 0}
 
     def spy(name):
@@ -444,10 +474,10 @@ def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
 
     for name in calls:
         spy(name)
-    distinct = len({g.contracted.pairing_matrix for g in multigraphs_with_loops(4, 6)})
+    bridgeless = sum(not g.bridges for g, _ in connected_multigraphs(4, 6))
     assert run_harness(4, 6, 3).ok
-    assert distinct == 38
-    assert calls == {"essential_connectivity": distinct, "_least_shared_degree": distinct, "is_natural": 0}
+    assert bridgeless == 32
+    assert calls == {"essential_connectivity": 32, "_least_shared_degree": 32, "is_natural": 0}
 
 
 def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkeypatch):
@@ -459,8 +489,10 @@ def test_run_harness_checks_that_every_curve_has_a_natural_degree_one_map(monkey
 
 
 def test_run_harness_reports_each_failing_loopless_graph_once(monkeypatch):
-    # only the double node fails; loops beside it change no verdict, so
-    # each graph whose X' it is is reported once, with no loop
+    # only the double node fails; loops beside it change no verdict, so it
+    # is reported once, with no loop.  The double node with a pendant
+    # component has it as X', but its pendant node separates, so it is only
+    # counted: a failure names a bridgeless graph
     def double_node_fails(x, max_degree):
         if x.pairing_matrix != ((-2, 2), (2, -2)):
             return []
@@ -468,9 +500,8 @@ def test_run_harness_reports_each_failing_loopless_graph_once(monkeypatch):
 
     monkeypatch.setattr(harness, "cross_check_naturality", double_node_fails)
     result = run_harness(3, 4, 1)
-    assert result.failures == (
-        (("C1", "C2"), ((0, 1), (0, 1)), 1, True),
-        (("C1", "C2", "C3"), ((0, 2), (1, 2), (1, 2)), 1, True),  # a pendant component keeps X'
-    )
-    assert not any(a == b for _, edges, _, _ in result.failures for a, b in edges)
+    assert result.failures == ((("C1", "C2"), ((0, 1), (0, 1)), 1, True),)
+    pendant = CurveGraph(["C1", "C2", "C3"], [(0, 2), (1, 2), (1, 2)])
+    assert pendant in {g for g, _ in connected_multigraphs(3, 4)} and pendant.bridges
+    assert pendant.contracted.pairing_matrix == ((-2, 2), (2, -2))
     assert result.graphs == len(list(multigraphs_with_loops(3, 4)))
