@@ -46,8 +46,8 @@ class CurveGraph:
     """Immutable dual graph: labeled components plus a multiset of edges.
 
     Loops and parallel edges are allowed; the graph without its loops must
-    be connected.  Instances compare by (components, edges) and hash by
-    their edges, computed once.
+    be connected.  Instances compare and hash by identity: the library asks
+    each question of one curve object.
     """
 
     def __init__(self, components: Iterable[str], edges: Iterable[tuple[int, int]]):
@@ -63,8 +63,6 @@ class CurveGraph:
                 raise IndexError(f"edge ({a}, {b}) out of range for {g} components")
             norm.append((a, b) if a <= b else (b, a))
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        # a tuple of int pairs hashes the same under every PYTHONHASHSEED
-        self._hash = hash(self.edges)
         if len(set(_components(g, self.edges))) > 1:
             raise DisconnectedCurveError("dual graph is not connected")
 
@@ -156,16 +154,6 @@ class CurveGraph:
         x = CurveGraph([first[k] for k in range(len(first))], kept)
         x.bridges = frozenset()  # X' has none: no search needed
         return x
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CurveGraph)
-            and self.components == other.components
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"CurveGraph({list(self.components)!r}, {list(self.edges)!r})"

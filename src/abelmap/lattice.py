@@ -84,10 +84,10 @@ def _lattice(g: CurveGraph) -> tuple:
     others).  M' is symmetric and nonsingular, so in H = U * M' row r is M'
     applied to row r of U.  Record r is (pivot value, column, divisor): the
     column is row r of H extended by the balancing entry -sum(row), with its
-    pivot in row r, and the divisor is row r of U extended by 0.  Only the
-    last graph and its basis are kept: the CLI works on one graph per
-    process, and the harness finishes each contracted curve before the
-    next.  The library builds it only for curves without a separating node.
+    pivot in row r, and the divisor is row r of U extended by 0.  The cache
+    keys on the curve object and keeps only the last one: the CLI holds one
+    curve per process, and the harness finishes each X' before the next.
+    The library builds it only for curves without a separating node.
     """
     minor = [list(row[:-1]) for row in g.pairing_matrix[:-1]]
     h, u = row_hnf(minor)

@@ -22,8 +22,9 @@ from abelmap import (
 from abelmap.harness import connected_multigraphs
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
-# X's own Hermite basis, for the dense oracles below, in a cache of its own
-# so that it does not evict the library's basis of X'
+# X's own Hermite basis, for the dense oracles below, in a one-entry cache of
+# its own, keyed like the library's on the curve object, so that it does not
+# evict the library's basis of X'
 _dense_lattice = lru_cache(maxsize=1)(_lattice.__wrapped__)
 
 
@@ -292,6 +293,39 @@ def epsilon_by_piece_scan(g: CurveGraph):
     ends = [bit[piece[a]] | bit[piece[b]] for a, b in g.edges if piece[a] != piece[b]]
     masks = range(1, 1 << (len(bit) - 1))
     return min((sum(0 < m & xy < xy for xy in ends) for m in masks), default=math.inf)
+
+
+def edge_disjoint_paths_reach(x: CurveGraph, k: int) -> bool:
+    """True when component 0 of x has k edge-disjoint paths to every other
+    component, loops aside.  By Menger's theorem that holds exactly when no
+    cut of x has fewer than k nodes, so on X' the largest such k is the
+    essential connectivity.  Each target takes at most k unit-capacity
+    augmenting paths, found by breadth-first search: O(gamma * k * E), with
+    no code shared with the library's Stoer-Wagner min cut."""
+    adj: list[list] = [[] for _ in range(x.gamma)]
+    for e, (a, b) in enumerate(x.edges):
+        if a != b:  # flow[e] is +1 for one unit from a to b, -1 from b to a
+            adj[a].append((b, e, 1))
+            adj[b].append((a, e, -1))
+    for t in range(1, x.gamma):
+        flow = [0] * x.edge_count
+        for _ in range(k):
+            came = {0: None}  # component -> (previous, node, direction)
+            queue = [0]
+            for v in queue:
+                if t in came:
+                    break
+                for w, e, sign in adj[v]:
+                    if w not in came and flow[e] * sign < 1:
+                        came[w] = (v, e, sign)
+                        queue.append(w)
+            if t not in came:
+                return False
+            w = t
+            while came[w]:
+                w, e, sign = came[w]
+                flow[e] += sign
+    return True
 
 
 def bridges_by_removal(g: CurveGraph) -> frozenset:

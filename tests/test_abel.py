@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +37,7 @@ from helpers import (
     cycle,
     dhar_reduced,
     doubled_cycle,
+    edge_disjoint_paths_reach,
     epsilon_by_piece_scan,
     epsilon_over_connected_subcurves,
     is_natural_by_piece_totals,
@@ -123,6 +124,53 @@ def test_epsilon_scans_pieces_not_components():
     g = CurveGraph([f"C{i}" for i in range(62)], path_edges + triangle)
     assert len(g.bridges) == 59
     assert essential_connectivity(g) == 4
+
+
+def _menger_count_is(x, eps):
+    # eps edge-disjoint paths from component 0 to every other, and not eps + 1
+    return edge_disjoint_paths_reach(x, eps) and not edge_disjoint_paths_reach(x, eps + 1)
+
+
+def test_epsilon_is_the_menger_path_count_exhaustive():
+    # every bridgeless graph is its own X'; the lone component has no other
+    # component to reach, so it reaches any count and its epsilon is inf
+    checked = 0
+    for g, _ in connected_multigraphs(6, 9):
+        if g.bridges:
+            continue
+        eps = essential_connectivity(g)
+        if g.gamma == 1:
+            assert eps == math.inf and edge_disjoint_paths_reach(g, g.edge_count + 1)
+        else:
+            assert _menger_count_is(g, eps), g
+        checked += 1
+    assert checked == 731
+
+
+@pytest.mark.parametrize("n", [3, 10, 100, 300])
+def test_epsilon_is_the_menger_path_count_on_doubled_cycles(n):
+    g = doubled_cycle(n)
+    assert essential_connectivity(g) == 4 and _menger_count_is(g, 4)
+
+
+def test_epsilon_is_the_menger_path_count_on_doubled_complete_graphs():
+    # isolating one component cuts its 2(n - 1) nodes, and no cut is smaller
+    for n in range(2, 11):
+        pairs = list(combinations(range(n), 2))
+        g = CurveGraph([f"C{i + 1}" for i in range(n)], pairs * 2)
+        eps = essential_connectivity(g)
+        assert eps == 2 * (n - 1) and _menger_count_is(g, eps), n
+
+
+def test_epsilon_is_the_menger_path_count_of_the_contracted_curve():
+    # a doubled 6-cycle with a 4-component chain hanging from C3: X' is the
+    # doubled 6-cycle, so epsilon is 4, while on X itself a chain node cuts
+    ring = [(i, (i + 1) % 6) for i in range(6)] * 2
+    chain = [(2, 6), (6, 7), (7, 8), (8, 9)]
+    g = CurveGraph([f"C{i + 1}" for i in range(10)], ring + chain)
+    x = g.contracted
+    assert (x.gamma, essential_connectivity(g)) == (6, 4) and _menger_count_is(x, 4)
+    assert _menger_count_is(g, 1)
 
 
 def test_has_natural_abel_map():

@@ -341,6 +341,30 @@ def test_the_lift_of_the_contracted_basis_is_the_dense_basis(monkeypatch):
     assert built and not any(bridges_by_removal(x) for x in built)
 
 
+def test_the_lattice_cache_gives_each_curve_object_its_own_basis():
+    # curves compare by identity, so the one-entry cache keys on the object:
+    # two curves built from the same data are two keys, and each change of
+    # object rebuilds.  Every library path reads one object at a time (a
+    # bridgeless curve is its own X', a bridged curve's X' is cached), so a
+    # walk over one curve builds its basis once
+    a = CurveGraph(["A", "B", "C"], [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)])
+    b = CurveGraph(["A", "B", "C"], [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2)])
+    c = CurveGraph(["A", "B", "C"], [(0, 1), (1, 2), (0, 2)])
+    assert a != b
+    misses = lattice._lattice.cache_info().misses
+    for g in (a, c, b, a, c):
+        for t in ((1, 0, 0), (3, -1, 0), (0, 2, -1)):
+            assert enumerate_classes(g, 1) == dense_classes(g, 1)
+            assert multidegree_class(g, t) == dense_class(g, t)
+        misses += 1
+        info = lattice._lattice.cache_info()
+        assert (info.misses, info.currsize) == (misses, 1)
+    pendant = CurveGraph(["A", "B", "C", "D"], [*a.edges, (2, 3)])
+    for t in ((1, 0, 0, 0), (0, 0, 2, -1)):
+        assert multidegree_class(pendant, t) == dense_class(pendant, t)
+    assert lattice._lattice.cache_info().misses == misses + 1
+
+
 def _corrupt_hnf(mat):
     # shift the entry of the first row above the second pivot: the pivots and
     # their product stay, but the first column no longer matches its preimage
