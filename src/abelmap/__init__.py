@@ -37,7 +37,7 @@ from .abel import (
     is_natural,
     partitional_multidegrees,
 )
-from .harness import HarnessResult, connected_multigraphs, run_harness
+from .harness import HarnessResult, run_harness
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "betti",
     "choose_representatives",
     "class_group_order",
-    "connected_multigraphs",
     "cross_check_naturality",
     "crossing_nodes",
     "crossing_nodes_of_multidegree",

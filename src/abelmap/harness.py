@@ -22,24 +22,23 @@ a u with key(u) = row 0 are run (McKay, "Practical graph isomorphism",
 to 0 such a u: the relabelings run that fix the vector are exactly the
 graph's automorphisms.
 
-The harness counts loop placements: loops are counts per component on a
-loopless graph g, one count vector per orbit of g's automorphisms.  A loop
-enters no pairing and no cut, so every placement on g gets g's verdict,
-and a bridged g's X' (loopless, connected, bridgeless and smaller) is a
-bridgeless graph of the sweep up to isomorphism.  So run_harness counts
-g's placements by Burnside's lemma (_loop_placement_count), cross-checks
-g only when it is bridgeless, and reports a failure on g itself.
+The harness lists only the bridgeless graphs: loops enter no pairing and no
+cut, and a bridged graph's X' is a bridgeless graph of the sweep up to
+isomorphism.  So rows close only on degree >= 2 there, and a leaf with a
+bridge is dropped.  The total, every connected curve with loops within the
+bounds, is counted by Polya's theorem (_graph_count), with no enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .abel import _check_partitional, cross_check_naturality
 from .graph import CurveGraph
-from .lattice import _check_listing
+from .lattice import LISTING_LIMIT, _check_listing
 
 
 def _slots(gamma: int) -> list[tuple[int, int]]:
@@ -71,13 +70,16 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
     ] + [groups]
 
 
-def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
-    # (orbit-minimum vector, its automorphisms with the identity first)
+def _canonical_vectors(gamma: int, max_edges: int, bridgeless: bool = False) -> Iterator[tuple]:
+    # (the graph of an orbit-minimum vector, its automorphisms with the identity
+    # first).  bridgeless: a row closes, its slots all filled, on degree >= 2 only,
+    # and a graph with a bridge is dropped; an orbit minimum has any degree 1 at 0
     slots = _slots(gamma)
     tables = _perm_getters(gamma, slots)
     n = len(slots)
     rows = [[k for k, s in enumerate(slots) if u in s] for u in range(gamma)]  # u's slots
     identity = tuple(range(gamma))
+    labels = [f"C{i + 1}" for i in range(gamma)]
 
     # last[v]: the largest vertex of v's class under the nodes so far
     def rec(prefix: tuple, budget: int, last: tuple, classes: int) -> Iterator[tuple]:
@@ -95,7 +97,9 @@ def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
                             if image < prefix:
                                 return
                             automorphisms.append(perm)
-            yield prefix, automorphisms
+            g = CurveGraph(labels, [s for s, m in zip(slots, prefix) for _ in range(m)])
+            if not (bridgeless and g.bridges):
+                yield g, automorphisms
             return
         if any(g(prefix) < prefix for g in tables[len(prefix)]):
             return
@@ -104,64 +108,78 @@ def _canonical_vectors(gamma: int, max_edges: int) -> Iterator[tuple]:
         joined = classes - (lo != hi)
         # a list, not a generator: tuple() resizes those, and the tuple free list keeps them
         merged = last if lo == hi else tuple([hi if c == lo else c for c in last])
-        if not (j == gamma - 1 and last[i] == i):  # a 0 ends row i: i's class closes
+        least = 2 - sum(prefix[k] for k in rows[i][:-1]) if bridgeless and j == gamma - 1 else 0
+        if least <= 0 and not (j == gamma - 1 and last[i] == i):  # a 0 closes i's class
             yield from rec(prefix + (0,), budget, last, classes)
-        for m in range(1, budget - joined + 2):  # a later node joins two classes at most
+        for m in range(max(1, least), budget - joined + 2):  # a later node joins <= 2 classes
             yield from rec(prefix + (m,), budget - m, merged, joined)
 
     return rec((), max_edges, identity, gamma)
 
 
-def _loop_placement_count(automorphisms: list, budget: int) -> int:
-    # the number of loop placements (tests/helpers.py's loop_placements lists
-    # them) by Burnside's lemma: the mean over the group of the placements
-    # each permutation fixes.  p fixes exactly the count vectors constant on
-    # its cycles: one count per cycle, weighted by the cycle's length, a
-    # coin-change count
-    fixed = 0
-    for p in automorphisms:
-        ways = [1] + [0] * budget  # ways[t]: counts on the cycles so far, weighted total t
-        seen: set = set()
-        for start in range(len(p)):
-            length, v = 0, start
-            while v not in seen:
-                seen.add(v)
-                v, length = p[v], length + 1
-            if length:  # 0: start lies on a cycle already counted
-                for t in range(length, budget + 1):
-                    ways[t] += ways[t - length]
-        fixed += sum(ways)
-    count, rest = divmod(fixed, len(automorphisms))
-    # a remainder means no group, but a non-group can divide evenly
-    # ([(0, 1, 2), (1, 2, 0)] at budget 3 gives 11), so tests still compare
-    # the count with the lister
-    if rest:
-        raise RuntimeError(f"{fixed} fixed placements over {len(automorphisms)} automorphisms")
-    return count
-
-
-def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[CurveGraph, list]]:
-    """(graph, automorphisms) for all connected loopless multigraphs with
-    <= max_gamma vertices and <= max_edges edges, one graph per isomorphism
-    class, deterministic order.  The automorphisms are the vertex
-    permutations p (vertex i to p[i]) that keep the graph, identity first.
-    Loops are inert: run_harness counts each graph's loop placements.
-
-    A connected graph on gamma vertices has at least gamma - 1 edges, so no
-    gamma above max_edges + 1 is enumerated.  A largest gamma with more than
-    LISTING_LIMIT relabelings raises ValueError before any is built."""
+def _top_gamma(max_gamma: int, max_edges: int) -> int:  # most vertices when connected
     if max_gamma < 1:
         raise ValueError("max_gamma must be >= 1")
     if max_edges < 0:
         raise ValueError("max_edges must be >= 0")
     top = min(max_gamma, max_edges + 1)
     _check_listing(f"gamma {top}", "relabelings", ((k, 1) for k in range(2, top + 1)))
-    for gamma in range(1, top + 1):
-        slots = _slots(gamma)
-        labels = [f"C{i + 1}" for i in range(gamma)]
-        for vec, automorphisms in _canonical_vectors(gamma, max_edges):
-            edges = [s for s, m in zip(slots, vec) for _ in range(m)]
-            yield CurveGraph(labels, edges), automorphisms
+    if max_edges > LISTING_LIMIT:  # gamma = 2 alone has max_edges graphs
+        raise ValueError(f"max_edges must be <= {LISTING_LIMIT}")
+    return top
+
+
+def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[CurveGraph, list]]:
+    """(graph, automorphisms) for all connected loopless multigraphs with
+    <= max_gamma vertices and <= max_edges edges, one graph per isomorphism
+    class, deterministic order: the tests' corpus.  The automorphisms are the
+    vertex permutations p (vertex i to p[i]) that keep the graph, identity
+    first.  Bounds that run_harness refuses raise ValueError here too."""
+    for gamma in range(1, _top_gamma(max_gamma, max_edges) + 1):
+        yield from _canonical_vectors(gamma, max_edges)
+
+
+def _cycle_types(n: int) -> list:  # the partitions of n, parts non-decreasing
+    parts = (itertools.combinations_with_replacement(range(1, n + 1), k) for k in range(1, n + 1))
+    return [p for ps in parts for p in ps if sum(p) == n]
+
+
+def _graph_count(top: int, max_edges: int) -> int:
+    # connected multigraphs with loops, up to isomorphism, on 1..top vertices, by
+    # Polya's theorem (Harary-Palmer, "Graphical Enumeration", 1973, ch. 2 and 4), as
+    # power series in x cut after x^max_edges.  every[n]: all graphs on n vertices, the
+    # mean over S_n of the vectors on the slots i <= j constant on each slot cycle.
+    # connected[n] inverts the Euler transform graded by vertices: n every[n] =
+    # sum_k c[k] every[n - k], where c[k](x) = sum_{d | k} d connected[d](x^(k/d))
+    def exact(series: list, b: int) -> list:  # raises, not asserts: runs under python -O
+        if any(x % b for x in series):
+            raise RuntimeError(f"a graph count is not a multiple of {b}")
+        return [x // b for x in series]
+
+    every, c, connected = [[1] + [0] * max_edges], [[]], [[]]
+    for n in range(1, top + 1):
+        total = [0] * (max_edges + 1)
+        for p in _cycle_types(n):
+            # an a-cycle has ceil(a/2) slot cycles of length a and, a even, one of
+            # a/2; an a- and a b-cycle have gcd(a, b) of length lcm(a, b)
+            lengths = [a // (1 + (2 * e == a)) for a in p for e in range(a // 2 + 1)]
+            lengths += [lcm(a, b) for i, a in enumerate(p) for b in p[:i] for _ in range(gcd(a, b))]
+            ways = [1] + [0] * max_edges
+            for length in lengths:
+                for t in range(length, max_edges + 1):
+                    ways[t] += ways[t - length]
+            size = factorial(n) // prod(k ** p.count(k) * factorial(p.count(k)) for k in set(p))
+            total = [t + size * w for t, w in zip(total, ways)]
+        every.append(exact(total, factorial(n)))
+        c.append([n * e for e in every[n]])
+        for k in range(1, n):
+            c[n] = [x - sum(c[k][i] * every[n - k][t - i] for i in range(t + 1))
+                    for t, x in enumerate(c[n])]
+        rest = c[n][:]
+        for d in (d for d in range(1, n) if n % d == 0):
+            rest[:: n // d] = [r - d * v for r, v in zip(rest[:: n // d], connected[d])]
+        connected.append(exact(rest, n))
+    return sum(map(sum, connected))
 
 
 class HarnessResult(NamedTuple):
@@ -177,20 +195,18 @@ class HarnessResult(NamedTuple):
 def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResult:
     """cross_check_naturality on every contracted curve of the sweep.
 
-    Each loopless graph stands for all its loop placements, counted.  Each
-    bridgeless graph is its own X' and is cross-checked once; a bridged
-    graph's X' is isomorphic to one of them, so it is only counted.  A
-    failure names the bridgeless graph: every loop placement on it, and
-    every curve whose X' it is, fails alike.  The failures are sorted.
+    graphs counts the connected curves within the bounds, loops included; only
+    the bridgeless loopless graphs are listed.  Each is its own X', checked
+    once, and is every other curve's X' up to isomorphism and loops.  A failure
+    names it: every curve whose X' it is fails alike.  The failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     # a cycle or a double node has the most pieces: refuse their degrees now
     _check_partitional(max(1, min(max_gamma, max_edges)), max_degree)
-    graphs, failures = 0, []
-    for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
-        graphs += _loop_placement_count(automorphisms, max_edges - g.edge_count)
-        if not g.bridges:  # a bridged g's X' is one of the sweep's bridgeless graphs
+    graphs, failures = _graph_count(_top_gamma(max_gamma, max_edges), max_edges), []
+    for gamma in range(1, min(max_gamma, max(1, max_edges)) + 1):  # degrees >= 2: gamma nodes
+        for g, _ in _canonical_vectors(gamma, max_edges, bridgeless=True):
             fails = cross_check_naturality(g, max_degree)
             failures += [(g.components, g.edges, d, yes) for d, yes in fails]
     return HarnessResult(graphs, graphs * max_degree, tuple(sorted(failures)))

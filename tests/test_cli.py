@@ -518,6 +518,16 @@ def test_refusals_compute_and_print_no_huge_integer(graph_file, capsys):
     assert _json_out(capsys)["outputs"]["agree"] is True
 
 
+def test_harness_refuses_a_huge_edge_bound(capsys):
+    # the count's tables have max_edges + 1 entries, and gamma 2 alone has
+    # max_edges graphs: refused before either is built
+    argv = ["harness", "--max-gamma", "3", "--max-edges", "99999999999", "--max-degree", "1"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert _one_line_error(capsys) == "error: max_edges must be <= 1000000\n"
+
+
 def test_bridge_heavy_curves_answer_fast(graph_file, capsys):
     # a 2000-component path whose last component lies on a doubled triangle:
     # 3 pieces, the doubled triangle is X', epsilon 4, 12 spanning trees

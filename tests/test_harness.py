@@ -19,7 +19,7 @@ from abelmap import (
 )
 from abelmap.harness import (
     _canonical_vectors,
-    _loop_placement_count,
+    _graph_count,
     connected_multigraphs,
     run_harness,
 )
@@ -28,7 +28,6 @@ from helpers import (
     _bounded_vectors,
     canonical_vectors_by_min,
     harness_failures_by_graph,
-    loop_placements,
     loopful_orbit_minimum,
     multigraphs_with_loops,
 )
@@ -59,13 +58,20 @@ def test_enumeration_is_deterministic_and_valid():
         assert g.gamma <= 3 and g.edge_count <= 4
 
 
+def _vectors(gamma, max_edges):
+    # the multiplicity vector over the slots i < j of each graph yielded
+    slots = harness._slots(gamma)
+    return [tuple(map(g.edges.count, slots)) for g, _ in _canonical_vectors(gamma, max_edges)]
+
+
 def test_enumeration_dedups_isomorphic_relabelings():
     # path C1-C2-C3 and path C2-C1-C3 are isomorphic; only one canonical
     # vector may survive for the path shape
-    vecs = list(_canonical_vectors(3, 2))
+    graphs = list(_canonical_vectors(3, 2))
     # slots (0,1),(0,2),(1,2): connected with 2 edges = path, up to iso,
     # with C3 in the middle: its automorphisms swap the ends
-    assert vecs == [((0, 1, 1), [(0, 1, 2), (1, 0, 2)])]
+    assert _vectors(3, 2) == [(0, 1, 1)]
+    assert [(g.edges, a) for g, a in graphs] == [(((0, 2), (1, 2)), [(0, 1, 2), (1, 0, 2)])]
 
 
 @pytest.mark.parametrize("loops", [True, False])
@@ -81,7 +87,7 @@ def test_early_exit_canonicity_matches_orbit_minimum(loops):
                 graphs = multigraphs_with_loops(gamma, max_edges)
                 got = sorted(loopful_orbit_minimum(g) for g in graphs if g.gamma == gamma)
             else:
-                got = [vec for vec, _ in _canonical_vectors(gamma, max_edges)]
+                got = _vectors(gamma, max_edges)
             assert got == canonical_vectors_by_min(gamma, max_edges, loops), (gamma, max_edges)
 
 
@@ -144,7 +150,7 @@ def test_pruned_prefixes_have_no_connected_completion(monkeypatch):
         met.clear()
         passed.clear()
         slots = harness._slots(gamma)
-        got = [vec for vec, _ in _canonical_vectors(gamma, max_edges)]
+        got = _vectors(gamma, max_edges)
         assert got == canonical_vectors_by_min(gamma, max_edges, False)
         dropped = [
             p + (m,) for p in passed for m in range(max_edges - sum(p) + 1) if p + (m,) not in met
@@ -183,7 +189,7 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
     # a full-length vector meets the leaf relabelings only if it is
     # connected: the prefixes that cannot connect were dropped before
     getters = harness._perm_getters
-    expected = {args: list(_canonical_vectors(*args)) for args in ((4, 6), (5, 8))}
+    expected = {args: _vectors(*args) for args in ((4, 6), (5, 8))}
     seen = set()
 
     def guarded(gamma, slots):
@@ -205,7 +211,7 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
 
     monkeypatch.setattr(harness, "_perm_getters", guarded)
     for args, vecs in expected.items():
-        assert list(_canonical_vectors(*args)) == vecs, args
+        assert _vectors(*args) == vecs, args
     assert len(seen) > sum(map(len, expected.values()))
 
 
@@ -227,23 +233,48 @@ def test_the_yielded_automorphisms_are_the_stabilizer():
     assert pairs and all(a == [(0, 1), (1, 0)] for a in pairs)
 
 
-def test_burnside_counts_the_listed_loop_placements():
-    total = 0
-    for g, automorphisms in connected_multigraphs(5, 8):
-        budget = 8 - g.edge_count
-        listed = sum(1 for _ in loop_placements(automorphisms, budget))
-        assert _loop_placement_count(automorphisms, budget) == listed, g.edges
-        total += listed
-    assert total == 3300
+def test_polya_counts_the_listed_graphs_with_loops():
+    # the count of every connected curve, loops included, against the
+    # tests' lister: loopless graphs and their loop placements
+    for max_gamma in range(1, 6):
+        for max_edges in range(9):
+            listed = sum(1 for _ in multigraphs_with_loops(max_gamma, max_edges))
+            assert _graph_count(max_gamma, max_edges) == listed, (max_gamma, max_edges)
+    assert listed == 3300
+    assert _graph_count(7, 9) == 22479
 
 
-def test_loop_placement_count_refuses_a_remainder():
-    # raises rather than asserts, so it also runs under python -O.  A
-    # non-group can divide evenly and pass, so the test above compares the
-    # count with the lister
-    with pytest.raises(RuntimeError, match="^28 fixed placements over 3 automorphisms$"):
-        _loop_placement_count([(0, 1, 2), (1, 0, 2), (1, 2, 0)], 3)
-    assert _loop_placement_count([(0, 1, 2), (1, 2, 0)], 3) == 11
+def test_graph_count_refuses_a_remainder(monkeypatch):
+    # each mean over S_n and each division by n in the Euler inversion is
+    # checked, by a raise, so it also runs under python -O.  Without the
+    # transposition's cycle type, S_2 fixes C(e + 2, 2) graphs with e edges,
+    # and 1 graph with no edge is not a multiple of 2!
+    assert _graph_count(3, 4) == 34
+    types = harness._cycle_types
+    monkeypatch.setattr(harness, "_cycle_types", lambda n: [t for t in types(n) if t != (2,)])
+    with pytest.raises(RuntimeError, match="^a graph count is not a multiple of 2$"):
+        _graph_count(3, 4)
+    with pytest.raises(RuntimeError, match="^a graph count is not a multiple of 2$"):
+        run_harness(3, 4, 1)
+
+
+def test_the_bridgeless_enumeration_is_the_filter_of_the_full_one():
+    # the degree and bridge prunes drop exactly the graphs with a separating
+    # node: the same graphs, automorphisms and order as filtering
+    # connected_multigraphs, within every bound up to (5, 8)
+    full = [(g, a) for g, a in connected_multigraphs(5, 8) if not g.bridges]
+    assert len(full) == 208
+    for gamma in range(1, 6):
+        for max_edges in range(9):
+            expected = [
+                (g.components, g.edges, a) for g, a in full
+                if g.gamma == gamma and g.edge_count <= max_edges
+            ]
+            got = [
+                (g.components, g.edges, a)
+                for g, a in _canonical_vectors(gamma, max_edges, bridgeless=True)
+            ]
+            assert got == expected, (gamma, max_edges)
 
 
 def test_exact_graph_counts():
@@ -363,21 +394,29 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 
 
 def test_run_harness_builds_each_graph_once(monkeypatch):
-    # when nothing fails: each loopless graph once, no curve with a loop and
-    # no X': a bridgeless graph is its own, and a bridged one is only counted
+    # when nothing fails: each bridgeless graph once, in order, no curve
+    # with a loop and no X'.  The only others built are the leaves that pass
+    # the degree prune and fail the bridge test: loopless graphs of minimum
+    # degree 2 with a separating node
     bases = [g for g, _ in connected_multigraphs(4, 6)]
-    bridged = sum(bool(g.bridges) for g in bases)
+
+    def least_degree(g):
+        return min(-g.pairing_matrix[i][i] for i in range(g.gamma)) if g.gamma > 1 else 2
+
+    leaves = [g for g in bases if least_degree(g) >= 2]
+    bridged = [g for g in leaves if g.bridges]
     built = []
     init = CurveGraph.__init__
 
     def recording_init(self, components, edges):
         init(self, components, edges)
-        built.append(self.edges)
+        built.append((self.components, self.edges))
 
     monkeypatch.setattr(CurveGraph, "__init__", recording_init)
     res = run_harness(4, 6, 2)
-    assert res.ok and res.graphs > len(bases) > bridged > 0
-    assert built == [g.edges for g in bases]
+    assert res.ok and res.graphs > len(bases) > len(leaves) > len(bridged) > 0
+    assert built == [(g.components, g.edges) for g in leaves]
+    assert [g for g in leaves if not g.bridges] == [g for g in bases if not g.bridges]
 
 
 def test_run_harness_counts_every_loop_placement():
