@@ -1,6 +1,6 @@
 """Exhaustive enumeration of small dual graphs and the agreement harness.
 
-The library enumerates loopless graphs only.  A loopless graph is a
+_canonical_vectors enumerates loopless graphs only.  A loopless graph is a
 multiplicity vector over the vertex pairs i < j, in lex order, kept when it
 is connected and no relabeling is lex-smaller: one vector, the orbit
 minimum, per isomorphism class.  Every checked property is
@@ -27,6 +27,8 @@ cut, and a bridged graph's X' is a bridgeless graph of the sweep up to
 isomorphism.  So rows close only on degree >= 2 there, and a leaf with a
 bridge is dropped.  The total, every connected curve with loops within the
 bounds, is counted by Polya's theorem (_graph_count), with no enumeration.
+The full listing, bridged graphs included, is the tests' corpus, in
+tests/helpers.py; no library code runs it.
 """
 
 from __future__ import annotations
@@ -127,16 +129,6 @@ def _top_gamma(max_gamma: int, max_edges: int) -> int:  # most vertices when con
     if max_edges > LISTING_LIMIT:  # gamma = 2 alone has max_edges graphs
         raise ValueError(f"max_edges must be <= {LISTING_LIMIT}")
     return top
-
-
-def connected_multigraphs(max_gamma: int, max_edges: int) -> Iterator[tuple[CurveGraph, list]]:
-    """(graph, automorphisms) for all connected loopless multigraphs with
-    <= max_gamma vertices and <= max_edges edges, one graph per isomorphism
-    class, deterministic order: the tests' corpus.  The automorphisms are the
-    vertex permutations p (vertex i to p[i]) that keep the graph, identity
-    first.  Bounds that run_harness refuses raise ValueError here too."""
-    for gamma in range(1, _top_gamma(max_gamma, max_edges) + 1):
-        yield from _canonical_vectors(gamma, max_edges)
 
 
 def _cycle_types(n: int) -> list:  # the partitions of n, parts non-decreasing

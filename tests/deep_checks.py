@@ -1,0 +1,167 @@
+"""The deep checks: pinned counts and cross-checks too slow for tier-1.
+
+    PYTHONPATH=src python tests/deep_checks.py
+
+needs the test extras (helpers imports hypothesis).  It lists the loopless
+graphs with gamma <= 7, <= 9 edges once and runs every corpus check on that
+list, the harness sweeps through the CLI's --json report, and the
+self-checks that must survive python -O in a python -O child.  It prints
+each count; the first one off its pin exits 1 with a line naming the check.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import abelmap
+from abelmap import abel, essential_connectivity, harness, is_natural, partitional_multidegrees
+from abelmap.abel import _least_shared_degree
+from abelmap.harness import _canonical_vectors, _graph_count, run_harness
+from abelmap.lattice import piece_totals
+from helpers import connected_multigraphs, dhar_reduced, edge_disjoint_paths_reach as reach
+from helpers import loop_placements, loopful_orbit_minimum
+
+# the children import this abelmap, and helpers from this directory
+HERE = [Path(abelmap.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, HERE))}
+
+
+def pin(name: str, got, want) -> None:
+    print(f"{name}: {got}", flush=True)
+    if got != want:
+        sys.exit(f"deep check failed: {name}: got {got}, want {want}")
+
+
+def loop_placement_total(corpus: list, max_edges: int) -> int:
+    # the tests' lister: one loop placement per orbit of each loopless graph's
+    # automorphisms, the curves with loops that the harness counts by Polya
+    return sum(sum(1 for _ in loop_placements(a, max_edges - g.edge_count)) for g, a in corpus)
+
+
+def bridgeless_listing(corpus: list, max_edges: int) -> tuple:
+    # the harness's pruned enumeration (rows closed on degree >= 2, no bridge
+    # at the leaf) against the bridgeless filter of the corpus: the same
+    # graphs, in the same order, with the same automorphisms
+    full = [(g.components, g.edges, a) for g, a in corpus if not g.bridges]
+    pruned = [
+        (g.components, g.edges, a)
+        for gamma in range(1, max(g.gamma for g, _ in corpus) + 1)
+        for g, a in _canonical_vectors(gamma, max_edges, bridgeless=True)
+    ]
+    return len(pruned), len(full), pruned == full
+
+
+def contracted_covering(corpus: list) -> tuple:
+    # the harness cross-checks only the bridgeless graphs: the X' of each
+    # bridged graph must be isomorphic to one of them, by the brute-force
+    # orbit minimum over all relabelings
+    bridgeless = {loopful_orbit_minimum(g) for g, _ in corpus if not g.bridges}
+    contracted = {loopful_orbit_minimum(g.contracted) for g, _ in corpus if g.bridges}
+    return len(bridgeless), len(contracted), contracted <= bridgeless
+
+
+def menger_disagreements(corpus: list) -> tuple:
+    # each bridgeless graph is its own X'; its minimum cut must be the most
+    # edge-disjoint paths from component 0 to every other, found by
+    # augmenting paths and not by Stoer-Wagner
+    bridgeless, wrong = [g for g, _ in corpus if not g.bridges], []
+    for g in bridgeless:
+        eps = essential_connectivity(g)
+        k = g.edge_count + 1 if eps == math.inf else eps
+        if not reach(g, k) or (eps < math.inf and reach(g, eps + 1)):
+            wrong.append((g.edges, eps))
+    return len(bridgeless), wrong
+
+
+def chip_firing_disagreements(graphs: list, max_degree: int) -> tuple:
+    # Dhar's burning names each class of X's partitional multidegrees with no
+    # contracted curve and no Hermite form; is_natural, and the harness's one
+    # class walk per X', must say natural below the same degree
+    checks, natural, wrong = 0, 0, []
+    for g in graphs:
+        shared = _least_shared_degree(g.contracted, max_degree, {})
+        for d in range(1, max_degree + 1):
+            totals: dict = {}
+            for p in partitional_multidegrees(g.gamma, d):
+                totals.setdefault(dhar_reduced(g, p, 0), set()).add(piece_totals(g, p))
+            expected = all(len(t) == 1 for t in totals.values())
+            if is_natural(g, d) != expected or (d < shared) != expected:
+                wrong.append((g.edges, d, expected))
+            checks += 1
+            natural += expected
+    return checks, natural, wrong
+
+
+def harness_report(max_gamma: int, max_edges: int, max_degree: int) -> tuple:
+    bounds = ["--max-gamma", max_gamma, "--max-edges", max_edges, "--max-degree", max_degree]
+    argv = [sys.executable, "-m", "abelmap", "harness", *map(str, bounds), "--json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=ENV)
+    try:
+        r = json.loads(proc.stdout)["outputs"]
+    except (ValueError, KeyError):  # no report: the error's last line fails the pin
+        return proc.stderr.strip().splitlines()[-1:]
+    return r["graphs"], r["checks"], r["ok"]
+
+
+def optimized_self_checks() -> None:
+    # -O strips assert statements; the sweep must still answer, a contracted
+    # curve with a cut below 2 must still stop it, and so must a Polya count
+    # that leaves a remainder: without the transpositions' cycle type, S_2
+    # fixes one edgeless graph, not a multiple of 2!
+    pin("running under python -O", sys.flags.optimize > 0, True)
+    r = run_harness(5, 7, 3)
+    pin("-O harness (5, 7, 3): graphs, checks, ok", (r.graphs, r.checks, r.ok), (1177, 3531, True))
+    abel._min_cut = lambda weight: 1
+    try:
+        run_harness(3, 3, 1)
+    except RuntimeError as e:
+        print("-O a cut of 1 raises:", e)
+    else:
+        pin("-O a cut of 1 raises", False, True)
+    types = harness._cycle_types
+    harness._cycle_types = lambda n: [t for t in types(n) if t != (2,)]
+    try:
+        _graph_count(3, 4)
+    except RuntimeError as e:
+        print("-O a count with a remainder raises:", e)
+    else:
+        pin("-O a count with a remainder raises", False, True)
+
+
+def optimized_child() -> int:
+    code = "import deep_checks; deep_checks.optimized_self_checks()"
+    return subprocess.run([sys.executable, "-O", "-c", code], env=ENV).returncode
+
+
+def main() -> None:
+    # the shared partitional listing at d = 4; gamma 7 runs the 5040-relabeling leaf
+    for gamma, edges, graphs in [(5, 8, 3300), (6, 8, 5081), (6, 9, 16381), (7, 9, 22479)]:
+        name = f"harness ({gamma}, {edges}, 4): graphs, checks, ok"
+        pin(name, harness_report(gamma, edges, 4), (graphs, 4 * graphs, True))
+    pin("python -O self-checks: exit code", optimized_child(), 0)
+
+    corpus = list(connected_multigraphs(7, 9))
+    pin("loopless graphs (7, 9)", len(corpus), 4208)
+    pin("graphs with loops by loop placements (7, 9)", loop_placement_total(corpus, 9), 22479)
+    pin("bridgeless listed, filtered, equal", bridgeless_listing(corpus, 9), (818, 818, True))
+    pin("bridgeless graphs, classes of X' of bridged graphs, covered",
+        contracted_covering(corpus), (818, 260, True))
+    pin("bridgeless graphs against Menger paths, disagreements",
+        menger_disagreements(corpus), (818, []))
+    sub = [g for g, _ in corpus if g.gamma <= 6 and g.edge_count <= 8]
+    checks, natural, wrong = chip_firing_disagreements(sub, 3)
+    print(f"chip-firing (6, 8, 3): {natural} natural")
+    pin("chip-firing (6, 8, 3): graphs, checks, disagreements", (len(sub), checks, wrong),
+        (998, 2994, []))
+
+    # 2784 bridgeless graphs cross-checked; all curves, loops included, counted
+    pin("harness (8, 10, 3): graphs, checks, ok", harness_report(8, 10, 3), (102016, 306048, True))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,7 @@ from abelmap import (
     partitional_multidegrees,
     twister_divisor,
 )
-from abelmap.harness import connected_multigraphs
+from abelmap.harness import _canonical_vectors, _top_gamma
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
 # X's own Hermite basis, for the dense oracles below, in a one-entry cache of
@@ -143,11 +143,22 @@ def connected_graphs(draw, max_gamma=9):
     return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
 
 
+def connected_multigraphs(max_gamma: int, max_edges: int):
+    """(graph, automorphisms) for all connected loopless multigraphs with
+    <= max_gamma vertices and <= max_edges edges, one graph per isomorphism
+    class, deterministic order: the tests' corpus.  The automorphisms are the
+    vertex permutations p (vertex i to p[i]) that keep the graph, identity
+    first.  Bounds that run_harness refuses raise ValueError here too."""
+    for gamma in range(1, _top_gamma(max_gamma, max_edges) + 1):
+        yield from _canonical_vectors(gamma, max_edges)
+
+
 def multigraphs_with_loops(max_gamma: int, max_edges: int):
     """Every connected multigraph within the bounds, loops counted among the
-    edges, once per isomorphism class: each loopless graph of
-    connected_multigraphs (its empty loop placement), then its other loop
-    placements up to its automorphisms."""
+    edges, once per isomorphism class: each loopless graph of the corpus,
+    connected_multigraphs above (its empty loop placement), then its other
+    loop placements up to its automorphisms.  The harness lists none of
+    these; it counts them by Polya's theorem."""
     for g, automorphisms in connected_multigraphs(max_gamma, max_edges):
         for counts in loop_placements(automorphisms, max_edges - g.edge_count):
             yield CurveGraph(g.components, with_loops(g, counts))
@@ -205,6 +216,7 @@ def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:
             c[v] += sum(m[v][u] for u in unburnt)
 
 
+@lru_cache(maxsize=None)  # read only; gamma 7 alone has 5040 relabelings
 def _relabelings(gamma: int, loops: bool) -> tuple:
     # the vertex pairs (loops included when asked) and, per vertex
     # permutation, the slot each slot is sent to

@@ -26,13 +26,13 @@ from abelmap import (
 )
 from abelmap.abel import partitional_pairs_certified
 from abelmap.graph import _components
-from abelmap.harness import connected_multigraphs
 from abelmap.lattice import _lattice
 from abelmap.levels import piece_totals
 from helpers import (
     bridges_by_removal,
     classes_are_distinct,
     connected_graphs,
+    connected_multigraphs,
     cut_edges,
     cycle,
     dhar_reduced,

@@ -29,9 +29,9 @@ from abelmap import (
     twister_space_dim,
 )
 from abelmap.cli import main
-from abelmap.harness import connected_multigraphs
 from helpers import (
     check_level_degree_bounds,
+    connected_multigraphs,
     multigraphs_with_loops,
     tail_sum_oracle_table,
     two_component,

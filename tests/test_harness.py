@@ -17,16 +17,13 @@ from abelmap import (
     is_natural,
     lattice,
 )
-from abelmap.harness import (
-    _canonical_vectors,
-    _graph_count,
-    connected_multigraphs,
-    run_harness,
-)
+from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.graph import _components
+import deep_checks
 from helpers import (
     _bounded_vectors,
     canonical_vectors_by_min,
+    connected_multigraphs,
     harness_failures_by_graph,
     loopful_orbit_minimum,
     multigraphs_with_loops,
@@ -452,12 +449,9 @@ def test_every_contracted_curve_is_a_bridgeless_graph_of_the_sweep():
     # why run_harness cross-checks only the bridgeless graphs: a bridged
     # graph's X' is loopless, connected, bridgeless and smaller, so it is
     # isomorphic to one bridgeless graph of the same enumeration
-    graphs = [g for g, _ in connected_multigraphs(5, 8)]
-    bridgeless = {loopful_orbit_minimum(g) for g in graphs if not g.bridges}
-    contracted = {loopful_orbit_minimum(g.contracted) for g in graphs if g.bridges}
-    assert (len(bridgeless), len(contracted)) == (208, 60)
-    assert len(bridgeless) == sum(not g.bridges for g in graphs)  # no two isomorphic
-    assert contracted <= bridgeless
+    corpus = list(connected_multigraphs(5, 8))
+    assert deep_checks.contracted_covering(corpus) == (208, 60, True)
+    assert sum(not g.bridges for g, _ in corpus) == 208  # no two isomorphic
 
 
 def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
@@ -547,3 +541,22 @@ def test_run_harness_reports_each_failing_loopless_graph_once(monkeypatch):
     assert (pendant.components, pendant.edges) in enumerated and pendant.bridges
     assert pendant.contracted.pairing_matrix == ((-2, 2), (2, -2))
     assert result.graphs == len(list(multigraphs_with_loops(3, 4)))
+
+
+def test_the_deep_checks_pass_on_a_small_corpus():
+    # tests/deep_checks.py runs these on gamma <= 7, <= 9 edges; here each
+    # runs on a small corpus, so a renamed helper or import fails here too
+    corpus = list(connected_multigraphs(4, 6))
+    bridgeless = sum(not g.bridges for g, _ in corpus)
+    assert deep_checks.loop_placement_total(corpus, 6) == _graph_count(4, 6)
+    assert deep_checks.bridgeless_listing(corpus, 6) == (bridgeless, bridgeless, True)
+    assert deep_checks.contracted_covering(corpus)[::2] == (bridgeless, True)
+    assert deep_checks.menger_disagreements(corpus) == (bridgeless, [])
+    checks, _, wrong = deep_checks.chip_firing_disagreements([g for g, _ in corpus], 3)
+    assert (checks, wrong) == (3 * len(corpus), [])
+
+
+def test_the_deep_checks_child_processes_run():
+    r = run_harness(3, 3, 1)
+    assert deep_checks.harness_report(3, 3, 1) == (r.graphs, r.checks, r.ok)
+    assert deep_checks.optimized_child() == 0

@@ -34,13 +34,13 @@ from abelmap import (
     normalize_divisor,
     twister_divisor,
 )
-from abelmap.harness import connected_multigraphs
 from abelmap.intlinalg import row_hnf
 from abelmap.lattice import LISTING_LIMIT, _place, piece_totals
 from helpers import (
     bridges_by_removal,
     choose_representatives_by_gamma,
     connected_graphs,
+    connected_multigraphs,
     cycle,
     dense_class,
     dense_classes,
