@@ -29,6 +29,7 @@ from .lattice import (
     Multidegree,
     _check_listing,
     _check_vector,
+    _lattice,
     _place,
     class_group_order,
     enumerate_classes,
@@ -39,8 +40,6 @@ from .lattice import (
 from .levels import is_sum_of_tails_multidegree
 
 INFINITY = math.inf
-KEPT_ENTRIES = 1 << 12  # integers in all kept partitional listings; 1.1 MB at most
-_kept: dict = {}  # (gamma, d) -> partitional listing, as a tuple
 
 
 class InvalidChooserError(ValueError):
@@ -112,13 +111,11 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
 
     There are binomial(d + gamma - 1, gamma - 1) of them; more than
     LISTING_LIMIT raises ValueError instead of exhausting memory.  Each call
-    returns a fresh list; KEPT_ENTRIES bounds the listings kept for reuse.
+    returns a fresh list.
 
     >>> partitional_multidegrees(2, 1)
     [(0, 1), (1, 0)]
     """
-    if (gamma, d) in _kept:
-        return list(_kept[gamma, d])
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     if d < 0:
@@ -127,13 +124,10 @@ def partitional_multidegrees(gamma: int, d: int) -> list[Multidegree]:
     # stars and bars: the gaps between gamma - 1 bars among d + gamma - 1
     # slots; bars in lex order give vectors in lex order, and no recursion
     # as deep as gamma is needed
-    parts = [
+    return [
         tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + gamma - 1)))
         for bars in combinations(range(d + gamma - 1), gamma - 1)
     ]
-    if gamma * len(parts) + sum(k * len(p) for (k, _), p in _kept.items()) <= KEPT_ENTRIES:
-        _kept[gamma, d] = tuple(parts)  # first come, first kept
-    return parts
 
 
 def _check_partitional(gamma: int, d: int) -> None:
@@ -175,9 +169,10 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     multidegrees, so a choice works when every partitional q of X' is pi of
     its class's representative, and the default (each class's first
     partitional member) works exactly when no two partitional q share a
-    class.  So does the pair test of partitional_pairs_certified, at one
-    class lookup per q instead of O(P^2) pair tests: _least_shared_degree,
-    its table filled from reps first when they are given.
+    class.  So does the pair test of partitional_pairs_certified, with no
+    pair test and no class lookup per q: _least_shared_degree reduces each q
+    as it builds it, its table filled first from the reps, one class lookup
+    each, when they are given.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -189,36 +184,81 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     if d < 1:
         raise ValueError("degree must be >= 1")
     x = g.contracted
-    table: dict[Multidegree, tuple] = {}
+    table: dict[tuple, tuple] = {}
     if reps is not None:
         for rep in reps:
             rv = _check_vector(g, rep, "representative")
             if sum(rv) != d:
                 raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
             cls = multidegree_class(x, piece_totals(g, rv))
-            if cls in table:
+            key = (cls[0] - d, *cls[1:])[:-1]  # the class's pivot-row residues
+            if key in table:
                 raise InvalidChooserError(
-                    f"representatives {table[cls]} and {rv} share a class"
+                    f"representatives {table[key]} and {rv} share a class"
                 )
-            table[cls] = rv
+            table[key] = rv
         order = class_group_order(g)
         if len(table) != order:
             raise InvalidChooserError(
                 f"the choice has {len(table)} classes, the curve has {order}"
             )
-        table = {cls: piece_totals(g, rv) for cls, rv in table.items()}
+        table = {key: piece_totals(g, rv) for key, rv in table.items()}
     return _least_shared_degree(x, d, table) > d
 
 
 def _least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
     """The least d <= top at which two partitional multidegrees of the
     bridgeless x share a class, top + 1 if none do (cross_check_naturality
-    says why one reversed walk finds it).  table maps a class to the vector
-    holding it; a class held by another vector, reps included, collides."""
-    for q in reversed(partitional_multidegrees(x.gamma, top)):
-        if table.setdefault(multidegree_class(x, q), q) != q:
-            return top - q[0]
-    return top + 1
+    says why one reversed walk finds it).
+
+    The walk visits the degree-top vectors q in reverse lex order, building
+    no listing, and reduces each as multidegree_class does, row by row as
+    its entries are chosen: level p takes q[p] from what is left down to 0,
+    and the quotient of divmod(q[p] + off[p], pivot p) comes off the later
+    pivot rows' offsets through the nonzero entries of column p, and goes
+    back on before q[p] changes; the last entry takes the rest.  So vectors
+    sharing a prefix share its reduction: a leaf costs one division and an
+    inner node O(nonzeros of a column), with no class lookup.  A class is
+    keyed by its pivot-row residues; the balancing row is never read.  table
+    maps a key to the piece totals of the representative holding it
+    (is_natural) or to None once a walked vector holds it; a key held by
+    another vector, reps included, collides.
+    """
+    _check_partitional(x.gamma, top)
+    basis = _lattice(x)
+    last = len(basis) - 1  # the leaf level; pivot rows 0..last, balancing row last + 1
+    if last < 0:  # one piece: the one vector (top,), and the empty key
+        return top + 1 if table.get((), (top,)) == (top,) else 0
+    pivots = [val for val, _, _ in basis]
+    spread = [[(k, col[k]) for k in range(p + 1, last + 1) if col[k]]
+              for p, (_, col, _) in enumerate(basis)]
+    off, res, quo = [0] * (last + 1), [0] * last, [0] * last
+    q, left = [top] * last, [top] * (last + 1)  # left[p]: the total still to place at level p
+    off[0], p = -top, 0  # multidegree_class shifts the total off the first entry
+    while True:
+        while p < last:  # reduce row p at q[p], push its quotient down, descend
+            quo[p], res[p] = divmod(q[p] + off[p], pivots[p])
+            for k, c in spread[p]:
+                off[k] -= quo[p] * c
+            left[p + 1] = left[p] - q[p]
+            p += 1
+            if p < last:
+                q[p] = left[p]
+        prefix, o, val, rest = tuple(res), off[last], pivots[last], left[last]
+        for v in range(rest, -1, -1):
+            key = (*prefix, (v + o) % val)
+            if key in table and table[key] != (*q, v, rest - v):
+                return top - (q[0] if last else v)
+            table[key] = None
+        while True:  # back up to the deepest level with a smaller q[p] left
+            p -= 1
+            if p < 0:
+                return top + 1
+            for k, c in spread[p]:
+                off[k] += quo[p] * c
+            if q[p]:
+                q[p] -= 1
+                break
 
 
 def partitional_pairs_certified(g: CurveGraph, d: int) -> bool:
@@ -249,8 +289,9 @@ def cross_check_naturality(g: CurveGraph, max_degree: int) -> list:
 
     is_natural asks for distinct classes of the partitional multidegrees of
     X' = g.contracted; the criterion takes one minimum cut of X' for every
-    degree, and is_natural reads every degree off one walk of the
-    degree-max_degree listing in reverse.  There q[0] falls from max_degree
+    degree, and is_natural's walk (_least_shared_degree) reads every degree
+    off one pass over the degree-max_degree vectors in reverse lex order,
+    building no listing.  There q[0] falls from max_degree
     to 0, so the tails q[1:] come by ascending total s; those of total <= s
     are the degree-s listing shifted along e_0, which shifts every class
     with it.  So the first class taken twice, at total s, is a collision at

@@ -24,7 +24,7 @@ from abelmap.abel import _least_shared_degree
 from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.lattice import piece_totals
 from helpers import connected_multigraphs, dhar_reduced, edge_disjoint_paths_reach as reach
-from helpers import loop_placements, loopful_orbit_minimum
+from helpers import listing_least_shared_degree, loop_placements, loopful_orbit_minimum
 
 # the children import this abelmap, and helpers from this directory
 HERE = [Path(abelmap.__file__).resolve().parents[1], Path(__file__).resolve().parent]
@@ -75,6 +75,19 @@ def menger_disagreements(corpus: list) -> tuple:
         k = g.edge_count + 1 if eps == math.inf else eps
         if not reach(g, k) or (eps < math.inf and reach(g, eps + 1)):
             wrong.append((g.edges, eps))
+    return len(bridgeless), wrong
+
+
+def class_walk_disagreements(corpus: list, max_degree: int) -> tuple:
+    # each bridgeless graph is its own X'; the class walk, which reduces each
+    # partitional multidegree as it builds it, must find the degree that the
+    # listing walk, one class lookup per vector, finds
+    bridgeless, wrong = [g for g, _ in corpus if not g.bridges], []
+    for g in bridgeless:
+        for top in range(1, max_degree + 1):
+            want = listing_least_shared_degree(g, top, {})
+            if _least_shared_degree(g, top, {}) != want:
+                wrong.append((g.edges, top, want))
     return len(bridgeless), wrong
 
 
@@ -153,6 +166,8 @@ def main() -> None:
         contracted_covering(corpus), (818, 260, True))
     pin("bridgeless graphs against Menger paths, disagreements",
         menger_disagreements(corpus), (818, []))
+    pin("bridgeless graphs, class walk against the listing walk at degrees 1..5, disagreements",
+        class_walk_disagreements(corpus, 5), (818, []))
     sub = [g for g, _ in corpus if g.gamma <= 6 and g.edge_count <= 8]
     checks, natural, wrong = chip_firing_disagreements(sub, 3)
     print(f"chip-firing (6, 8, 3): {natural} natural")

@@ -183,6 +183,18 @@ def classes_are_distinct(x: CurveGraph, d: int) -> bool:
     return len({multidegree_class(x, q) for q in parts}) == len(parts)
 
 
+def listing_least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
+    """abel._least_shared_degree by a listing: every degree-top partitional
+    multidegree of the bridgeless x in reverse lex order, each reduced from
+    scratch by multidegree_class.  table maps a canonical class (not the
+    walk's residue key) to the vector holding it; a class held by another
+    vector, reps included, collides at degree top - q[0]."""
+    for q in reversed(partitional_multidegrees(x.gamma, top)):
+        if table.setdefault(multidegree_class(x, q), q) != q:
+            return top - q[0]
+    return top + 1
+
+
 def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:
     """The reduced form of p + lift on every entry, with respect to
     component 0, by Dhar's burning algorithm (Dhar, Phys. Rev. Lett. 64,

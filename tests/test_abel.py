@@ -41,6 +41,7 @@ from helpers import (
     epsilon_by_piece_scan,
     epsilon_over_connected_subcurves,
     is_natural_by_piece_totals,
+    listing_least_shared_degree,
     multigraphs_with_loops,
     path,
     star,
@@ -223,27 +224,16 @@ def test_partitional_multidegrees_many_components():
     assert got[0] == (0,) * 1099 + (1,) and got[-1] == (1,) + (0,) * 1099
 
 
-def test_partitional_listing_cache_is_safe(monkeypatch):
-    # listings are kept for reuse up to a budget; every call gets a fresh list
-    monkeypatch.setattr(abel, "_kept", {})
+def test_partitional_listing_cache_is_safe():
+    # every call gets a fresh list, and a refused listing raises every time
     got = partitional_multidegrees(3, 2)
     expected = list(got)
     got.append((9, 9, 9))
     got[0] = None
     assert partitional_multidegrees(3, 2) == expected
-    assert list(abel._kept) == [(3, 2)]
-    for _ in range(2):  # a refused listing raises every time, and is not kept
+    for _ in range(2):
         with pytest.raises(ValueError, match=str(math.comb(68 + 4, 4))):
             partitional_multidegrees(5, 68)
-    # a listing past the budget is built on every call and never kept
-    big = partitional_multidegrees(5, 20)
-    assert 5 * len(big) > abel.KEPT_ENTRIES
-    assert partitional_multidegrees(5, 20) == big
-    for d in range(200):  # the budget bounds what all kept listings hold
-        partitional_multidegrees(2, d)
-    assert (5, 20) not in abel._kept and (2, 1) in abel._kept
-    held = sum(gamma * len(p) for (gamma, _), p in abel._kept.items())
-    assert 0 < held <= abel.KEPT_ENTRIES
 
 
 def _partitional_reps(g, d) -> dict:
@@ -317,6 +307,47 @@ def test_the_reversed_walk_finds_every_degree_the_set_test_finds():
             shared = abel._least_shared_degree(x, top, {})
             below = [d for d in range(1, top + 1) if d < shared]
             assert below == [d for d in distinct if d <= top], (x.edges, top)
+
+
+def _rep_tables(x, d, totals) -> tuple:
+    # each representative's piece totals, keyed by its class for the listing
+    # oracle and by the class's pivot-row residues for the walk
+    listing, walk = {}, {}
+    for t in totals:
+        c = multidegree_class(x, t)
+        listing[c] = t
+        walk[(c[0] - d, *c[1:])[:-1]] = t
+    return listing, walk
+
+
+def test_the_class_walk_equals_the_listing_walk():
+    # the walk reduces each vector as it builds it; the oracle lists the
+    # vectors and looks each one's class up
+    curves, contracted = [g for g, _ in connected_multigraphs(5, 8)], {}
+    for g in curves:
+        contracted.setdefault(g.contracted.pairing_matrix, g.contracted)
+    assert len(contracted) == 304
+    for x in contracted.values():
+        for top in range(1, 6):
+            want = listing_least_shared_degree(x, top, {})
+            assert abel._least_shared_degree(x, top, {}) == want, (x.edges, top)
+    k6 = CurveGraph([f"C{i}" for i in range(6)],
+                    [(i, j) for i in range(6) for j in range(i + 1, 6) for _ in range(2)])
+    for x, top, want in [(doubled_cycle(40), 3, 4), (k6, 7, 8), (path(3).contracted, 4, 5)]:
+        assert listing_least_shared_degree(x, top, {}) == want
+        assert abel._least_shared_degree(x, top, {}) == want
+    # tables pre-filled from the chosen and from the canonical representatives,
+    # on every curve, one piece (compact type) included
+    answers = set()
+    for g in [*curves, path(3), two_component(3)]:
+        x = g.contracted
+        for d in range(1, 4):
+            for reps in (choose_representatives(g, d).values(), enumerate_classes(g, d)):
+                listing, walk = _rep_tables(x, d, [piece_totals(g, r) for r in reps])
+                want = listing_least_shared_degree(x, d, listing)
+                assert abel._least_shared_degree(x, d, walk) == want, (g.edges, d)
+                answers.add(want)
+    assert answers == {0, 1, 2, 3, 4}
 
 
 def test_is_natural_with_reps_matches_the_definition():

@@ -321,21 +321,19 @@ def test_a_sweep_keeps_one_lattice():
     assert lattice._lattice.cache_info().currsize == 1
 
 
-def test_a_sweep_builds_one_listing_per_gamma_and_degree(monkeypatch):
-    # graphs come gamma by gamma, each checked at degrees 1..D by one walk of
-    # its degree-D listing: at D = 9 the kept listings still serve every
-    # graph, and no listing is built twice
+def test_a_sweep_builds_no_partitional_listing(monkeypatch):
+    # each graph is checked at degrees 1..D by one walk over its degree-D
+    # partitional multidegrees, which reduces them as it builds them
     built = []
 
     def counted(pool, r):
         built.append((r + 1, len(pool) - r))  # (gamma, d)
         return combinations(pool, r)
 
-    monkeypatch.setattr(abel, "_kept", {})
     monkeypatch.setattr(abel, "combinations", counted)
     result = run_harness(3, 4, 9)
     assert result.ok and result.graphs > 9
-    assert sorted(built) == [(1, 9), (2, 9), (3, 9)]
+    assert built == []
 
 
 def test_enumeration_contains_known_shapes():
@@ -552,6 +550,7 @@ def test_the_deep_checks_pass_on_a_small_corpus():
     assert deep_checks.bridgeless_listing(corpus, 6) == (bridgeless, bridgeless, True)
     assert deep_checks.contracted_covering(corpus)[::2] == (bridgeless, True)
     assert deep_checks.menger_disagreements(corpus) == (bridgeless, [])
+    assert deep_checks.class_walk_disagreements(corpus, 5) == (bridgeless, [])
     checks, _, wrong = deep_checks.chip_firing_disagreements([g for g, _ in corpus], 3)
     assert (checks, wrong) == (3 * len(corpus), [])
 
