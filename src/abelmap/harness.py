@@ -24,9 +24,19 @@ graph's automorphisms.
 
 The harness lists only the bridgeless graphs: loops enter no pairing and no
 cut, and a bridged graph's X' is a bridgeless graph of the sweep up to
-isomorphism.  So rows close only on degree >= 2 there, and a leaf with a
-bridge is dropped.  The total, every connected curve with loops within the
-bounds, is counted by Polya's theorem (_graph_count), with no enumeration.
+isomorphism.  It lists them in two stages, as nauty's geng | multig does
+(McKay and Piperno, "Practical graph isomorphism, II", 2014).  The search
+above, with every multiplicity capped at 1, yields each connected simple
+graph S once, with its automorphisms.  Then each edge of S takes a
+multiplicity: >= 2 on a bridge of S and >= 1 on any other edge, since a
+multigraph over S has a bridge exactly when a bridge of S keeps one node.  A
+multiplicity vector is kept when no automorphism of S maps it lex-lower, and
+the automorphisms of S that fix it are the graph's.  Every isomorphism of
+two multigraphs is one of their simple graphs, so each class is listed once.
+A listed graph is the least of its orbit under S's automorphisms, which need
+not be the orbit minimum of its full vector.  The total, every connected
+curve with loops within the bounds, is counted by Polya's theorem
+(_graph_count), with no enumeration.
 The full listing, bridged graphs included, is the tests' corpus, in
 tests/helpers.py; no library code runs it.
 """
@@ -74,20 +84,23 @@ def _perm_getters(gamma: int, slots: list[tuple[int, int]]) -> list[list]:
 
 def _canonical_vectors(gamma: int, max_edges: int, bridgeless: bool = False) -> Iterator[tuple]:
     # (the graph of an orbit-minimum vector, its automorphisms with the identity
-    # first).  bridgeless: a row closes, its slots all filled, on degree >= 2 only,
-    # and a graph with a bridge is dropped; an orbit minimum has any degree 1 at 0
+    # first).  bridgeless: the search lists the simple graphs, multiplicities
+    # capped at 1, and _multiplicities places the nodes on each.  A listed graph,
+    # which a failing sweep names, is then the least of its orbit under its
+    # simple graph's automorphisms, not always the orbit minimum of its vector
     slots = _slots(gamma)
     tables = _perm_getters(gamma, slots)
     n = len(slots)
     rows = [[k for k, s in enumerate(slots) if u in s] for u in range(gamma)]  # u's slots
     identity = tuple(range(gamma))
     labels = [f"C{i + 1}" for i in range(gamma)]
+    top = 1 if bridgeless else max_edges
 
     # last[v]: the largest vertex of v's class under the nodes so far
     def rec(prefix: tuple, budget: int, last: tuple, classes: int) -> Iterator[tuple]:
         if len(prefix) == n:
             row = list(prefix[: gamma - 1])  # row 0, the first block
-            automorphisms = [identity]
+            automorphisms = [(tuple, identity)]  # (slot getter, vertex permutation)
             for u, group in enumerate(tables[n]):
                 key = sorted([prefix[k] for k in rows[u]])
                 if key < row:
@@ -98,10 +111,12 @@ def _canonical_vectors(gamma: int, max_edges: int, bridgeless: bool = False) -> 
                         if image <= prefix:
                             if image < prefix:
                                 return
-                            automorphisms.append(perm)
+                            automorphisms.append((get, perm))
             g = CurveGraph(labels, [s for s, m in zip(slots, prefix) for _ in range(m)])
-            if not (bridgeless and g.bridges):
-                yield g, automorphisms
+            if bridgeless:
+                yield from _multiplicities(g, prefix, automorphisms, max_edges)
+            else:
+                yield g, [perm for _, perm in automorphisms]
             return
         if any(g(prefix) < prefix for g in tables[len(prefix)]):
             return
@@ -110,13 +125,36 @@ def _canonical_vectors(gamma: int, max_edges: int, bridgeless: bool = False) -> 
         joined = classes - (lo != hi)
         # a list, not a generator: tuple() resizes those, and the tuple free list keeps them
         merged = last if lo == hi else tuple([hi if c == lo else c for c in last])
-        least = 2 - sum(prefix[k] for k in rows[i][:-1]) if bridgeless and j == gamma - 1 else 0
-        if least <= 0 and not (j == gamma - 1 and last[i] == i):  # a 0 closes i's class
+        if not (j == gamma - 1 and last[i] == i):  # a 0 closes i's class
             yield from rec(prefix + (0,), budget, last, classes)
-        for m in range(max(1, least), budget - joined + 2):  # a later node joins <= 2 classes
+        for m in range(1, min(top, budget - joined + 1) + 1):  # a later node joins <= 2 classes
             yield from rec(prefix + (m,), budget - m, merged, joined)
 
     return rec((), max_edges, identity, gamma)
+
+
+def _multiplicities(simple: CurveGraph, ones: tuple, automorphisms: list, max_edges: int) -> Iterator[tuple]:
+    # the bridgeless graphs over the simple graph of the 0/1 slot vector ones,
+    # with their automorphisms, identity first (why each class comes once: see
+    # the module docstring).  least gives a bridge of simple 2 nodes and every
+    # other edge 1, and each multiset of extra slots adds a node per pick.  The
+    # automorphisms passed are simple's: (slot getter, vertex permutation)
+    where = [k for k, x in enumerate(ones) if x]  # edge e of simple is slot where[e]
+    least = list(ones)
+    for e in simple.bridges:
+        least[where[e]] = 2
+    for extra in range(max_edges - sum(least) + 1):
+        for more in itertools.combinations_with_replacement(where, extra):
+            vector = least[:]
+            for k in more:
+                vector[k] += 1
+            vector = tuple(vector)
+            images = [(get(vector), perm) for get, perm in automorphisms]
+            if all(image >= vector for image, _ in images):
+                edges = [e for e, k in zip(simple.edges, where) for _ in range(vector[k])]
+                g = CurveGraph(simple.components, edges)
+                g.bridges = frozenset()  # none by construction: no search needed
+                yield g, [perm for image, perm in images if image == vector]
 
 
 def _top_gamma(max_gamma: int, max_edges: int) -> int:  # most vertices when connected
@@ -190,7 +228,9 @@ def run_harness(max_gamma: int, max_edges: int, max_degree: int) -> HarnessResul
     graphs counts the connected curves within the bounds, loops included; only
     the bridgeless loopless graphs are listed.  Each is its own X', checked
     once, and is every other curve's X' up to isomorphism and loops.  A failure
-    names it: every curve whose X' it is fails alike.  The failures are sorted.
+    names it: every curve whose X' it is fails alike.  It is the graph the
+    listing holds for its class, which need not be the class's orbit minimum.
+    The failures are sorted.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")

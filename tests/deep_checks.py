@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import abelmap
-from abelmap import abel, essential_connectivity, harness, is_natural, partitional_multidegrees
+from abelmap import CurveGraph, abel, essential_connectivity, harness, is_natural, partitional_multidegrees
 from abelmap.abel import _least_shared_degree
 from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.lattice import piece_totals
@@ -44,16 +44,28 @@ def loop_placement_total(corpus: list, max_edges: int) -> int:
 
 
 def bridgeless_listing(corpus: list, max_edges: int) -> tuple:
-    # the harness's pruned enumeration (rows closed on degree >= 2, no bridge
-    # at the leaf) against the bridgeless filter of the corpus: the same
-    # graphs, in the same order, with the same automorphisms
-    full = [(g.components, g.edges, a) for g, a in corpus if not g.bridges]
-    pruned = [
-        (g.components, g.edges, a)
+    # the harness's listing (simple graphs, then node multiplicities up to
+    # their automorphisms) against the bridgeless filter of the corpus: the
+    # same classes, each once.  A listed graph has no bridge, and its
+    # automorphisms, identity first, each fix it and are as many as its class
+    # has in the corpus.  A listed graph labeled as in the corpus is of that
+    # graph's class; the orbit minimum is taken of the others only, which is
+    # faster than taking it of all
+    full = {(g.components, g.edges): a for g, a in corpus if not g.bridges}
+    listed = [
+        (g, a)
         for gamma in range(1, max(g.gamma for g, _ in corpus) + 1)
         for g, a in _canonical_vectors(gamma, max_edges, bridgeless=True)
     ]
-    return len(pruned), len(full), pruned == full
+    keys = [(g.components, g.edges) for g, _ in listed]
+    missed = {loopful_orbit_minimum(CurveGraph(*k)): len(full[k]) for k in full.keys() - set(keys)}
+    ok = len(set(keys)) == len(keys)
+    for (g, a), key in zip(listed, keys):
+        count = len(full[key]) if key in full else missed.pop(loopful_orbit_minimum(g), None)
+        fixed = all(sorted(tuple(sorted((p[i], p[j]))) for i, j in g.edges) == sorted(g.edges) for p in a)
+        ok &= count == len(a) == len(set(a)) and a[0] == tuple(range(g.gamma)) and fixed
+        ok &= not CurveGraph(*key).bridges
+    return len(listed), len(full), ok and not missed
 
 
 def contracted_covering(corpus: list) -> tuple:

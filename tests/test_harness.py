@@ -212,19 +212,23 @@ def test_only_connected_leaves_reach_the_leaf_table(monkeypatch):
     assert len(seen) > sum(map(len, expected.values()))
 
 
+def _stabilizer(g):
+    # the vertex permutations p that keep g's pairing matrix, in lex order
+    m, n = g.pairing_matrix, g.gamma
+    return [
+        p for p in permutations(range(n))
+        if all(m[p[i]][p[j]] == m[i][j] for i in range(n) for j in range(n))
+    ]
+
+
 def test_the_yielded_automorphisms_are_the_stabilizer():
     # every vertex permutation p that keeps the pairing matrix, identity
     # first, each once; gamma = 2 keeps the swap, which moves a loop
     graphs = list(connected_multigraphs(5, 8))
     for g, automorphisms in graphs:
-        m, n = g.pairing_matrix, g.gamma
-        stabilizer = [
-            p for p in permutations(range(n))
-            if all(m[p[i]][p[j]] == m[i][j] for i in range(n) for j in range(n))
-        ]
-        assert automorphisms[0] == tuple(range(n)), g.edges
+        assert automorphisms[0] == tuple(range(g.gamma)), g.edges
         assert len(set(automorphisms)) == len(automorphisms), g.edges
-        assert sorted(automorphisms) == stabilizer, g.edges
+        assert sorted(automorphisms) == _stabilizer(g), g.edges
     assert graphs[0][1] == [(0,)]
     pairs = [automorphisms for g, automorphisms in graphs if g.gamma == 2]
     assert pairs and all(a == [(0, 1), (1, 0)] for a in pairs)
@@ -256,22 +260,35 @@ def test_graph_count_refuses_a_remainder(monkeypatch):
 
 
 def test_the_bridgeless_enumeration_is_the_filter_of_the_full_one():
-    # the degree and bridge prunes drop exactly the graphs with a separating
-    # node: the same graphs, automorphisms and order as filtering
-    # connected_multigraphs, within every bound up to (5, 8)
-    full = [(g, a) for g, a in connected_multigraphs(5, 8) if not g.bridges]
+    # within every bound up to (5, 8), the harness's listing holds each class
+    # of the bridgeless filter of connected_multigraphs once.  Its graphs are
+    # least under their simple graph's automorphisms, not always the full
+    # vector's orbit minimum, so classes are compared, not labels.  The full
+    # listing is the filter of the (5, 8) corpus, labels, order and all
+    corpus = list(connected_multigraphs(5, 8))
+    full = [g for g, _ in corpus if not g.bridges]
     assert len(full) == 208
+    classes, stabilizers = {}, {}
     for gamma in range(1, 6):
         for max_edges in range(9):
-            expected = [
-                (g.components, g.edges, a) for g, a in full
-                if g.gamma == gamma and g.edge_count <= max_edges
-            ]
-            got = [
-                (g.components, g.edges, a)
-                for g, a in _canonical_vectors(gamma, max_edges, bridgeless=True)
-            ]
-            assert got == expected, (gamma, max_edges)
+            within = [(g, a) for g, a in corpus if g.gamma == gamma and g.edge_count <= max_edges]
+            got = list(_canonical_vectors(gamma, max_edges, bridgeless=True))
+            for g, a in got:
+                key = (g.components, g.edges)
+                if key not in classes:
+                    classes[key] = loopful_orbit_minimum(g)
+                    stabilizers[key] = _stabilizer(g)
+                    assert not CurveGraph(*key).bridges, key
+                assert a[0] == tuple(range(gamma)) and len(set(a)) == len(a), key
+                assert sorted(a) == stabilizers[key], key
+            listed = [classes[g.components, g.edges] for g, _ in got]
+            expected = [loopful_orbit_minimum(g) for g, _ in within if not g.bridges]
+            assert len(set(listed)) == len(listed), (gamma, max_edges)
+            assert sorted(listed) == sorted(expected), (gamma, max_edges)
+            assert [(g.components, g.edges, a) for g, a in _canonical_vectors(gamma, max_edges)] == [
+                (g.components, g.edges, a) for g, a in within
+            ], (gamma, max_edges)
+    assert len(classes) == 208
 
 
 def test_exact_graph_counts():
@@ -389,17 +406,21 @@ def test_run_harness_refuses_by_the_largest_piece_count(monkeypatch):
 
 
 def test_run_harness_builds_each_graph_once(monkeypatch):
-    # when nothing fails: each bridgeless graph once, in order, no curve
-    # with a loop and no X'.  The only others built are the leaves that pass
-    # the degree prune and fail the bridge test: loopless graphs of minimum
-    # degree 2 with a separating node
+    # when nothing fails: each simple graph S of the search, for its bridges,
+    # then each listed bridgeless graph over S once, in listing order; no
+    # curve with a loop and no X'.  The simple graphs are the corpus's graphs
+    # with no double node, in the corpus's order
     bases = [g for g, _ in connected_multigraphs(4, 6)]
+    simple = [g for g in bases if len(set(g.edges)) == g.edge_count]
+    listed = [
+        (g.components, g.edges)
+        for gamma in range(1, 5) for g, _ in _canonical_vectors(gamma, 6, bridgeless=True)
+    ]
 
-    def least_degree(g):
-        return min(-g.pairing_matrix[i][i] for i in range(g.gamma)) if g.gamma > 1 else 2
+    def over(s):  # the listed graphs whose simple graph is s
+        return [(c, e) for c, e in listed if (c, tuple(sorted(set(e)))) == (s.components, s.edges)]
 
-    leaves = [g for g in bases if least_degree(g) >= 2]
-    bridged = [g for g in leaves if g.bridges]
+    assert [key for s in simple for key in over(s)] == listed
     built = []
     init = CurveGraph.__init__
 
@@ -409,9 +430,9 @@ def test_run_harness_builds_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(CurveGraph, "__init__", recording_init)
     res = run_harness(4, 6, 2)
-    assert res.ok and res.graphs > len(bases) > len(leaves) > len(bridged) > 0
-    assert built == [(g.components, g.edges) for g in leaves]
-    assert [g for g in leaves if not g.bridges] == [g for g in bases if not g.bridges]
+    assert res.ok and res.graphs > len(bases) > len(listed) > len(simple) > 0
+    assert (len(bases), len(listed), len(simple)) == (63, 32, 10)
+    assert built == [key for s in simple for key in [(s.components, s.edges), *over(s)]]
 
 
 def test_run_harness_counts_every_loop_placement():
@@ -463,31 +484,47 @@ def test_run_harness_failures_match_a_per_graph_oracle(monkeypatch):
             if (len(m) + d - sum(m[i][i] for i in range(len(m)))) % 3 == 0
         ]
 
-    # run_harness names each failing bridgeless graph once: the oracle's
-    # loopful graphs with their loops stripped, and the bridged ones left
-    # out, must agree to one entry
-    loopful = harness_failures_by_graph(4, 6, 3, disagree_on_some)
-    loopless = {
-        (components, tuple(e for e in edges if e[0] != e[1]), d, yes)
-        for components, edges, d, yes in loopful
-    }
-    graphs = {(g.components, g.edges): g for g, _ in connected_multigraphs(4, 6)}
-    bridged = {f for f in loopless if graphs[f[:2]].bridges}
-    expected = tuple(sorted(loopless - bridged))
+    def cls(components, edges):
+        return loopful_orbit_minimum(CurveGraph(components, edges))
+
+    # run_harness names each failing class of bridgeless graphs once, by the
+    # graph it lists, which need not be the class's orbit minimum: the
+    # oracle's loopful graphs with their loops stripped, and the bridged ones
+    # left out, must agree to one class.  At (5, 7) two listed graphs are
+    # labeled otherwise than the corpus's graph of their class
     monkeypatch.setattr(harness, "cross_check_naturality", disagree_on_some)
-    calls.clear()
-    result = run_harness(4, 6, 3)
-    assert (len(loopful), len(loopless), len(expected)) == (283, 63, 32)
-    assert result.failures == expected
-    assert len(calls) == len(set(calls)) == 32
-    # a bridged graph left out fails as the reported graph its X' is
-    reported: dict = {}
-    for f in result.failures:
-        reported.setdefault(loopful_orbit_minimum(graphs[f[:2]]), set()).add(f[2:])
-    left_out: dict = {}
-    for f in bridged:
-        left_out.setdefault(graphs[f[:2]], set()).add(f[2:])
-    assert all(reported[loopful_orbit_minimum(g.contracted)] == v for g, v in left_out.items())
+    for bounds, counts in [((4, 6, 3), (283, 63, 32, 0)), ((5, 7, 3), (1177, 241, 87, 2))]:
+        max_gamma, max_edges, _ = bounds
+        loopful = harness_failures_by_graph(*bounds, disagree_on_some)
+        loopless = {
+            (components, tuple(e for e in edges if e[0] != e[1]), d, yes)
+            for components, edges, d, yes in loopful
+        }
+        graphs = {(g.components, g.edges): g for g, _ in connected_multigraphs(max_gamma, max_edges)}
+        bridged = {f for f in loopless if graphs[f[:2]].bridges}
+        expected = sorted((cls(*f[:2]), *f[2:]) for f in loopless - bridged)
+        listed = {
+            (g.components, g.edges)
+            for gamma in range(1, max_gamma + 1)
+            for g, _ in _canonical_vectors(gamma, max_edges, bridgeless=True)
+        }
+        calls.clear()
+        result = run_harness(*bounds)
+        reported = [(cls(*f[:2]), *f[2:]) for f in result.failures]
+        assert result.failures == tuple(sorted(result.failures))
+        assert len(set(reported)) == len(reported) and sorted(reported) == expected
+        assert all(f[:2] in listed for f in result.failures)
+        relabeled = {f[:2] for f in result.failures if f[:2] not in graphs}
+        assert (len(loopful), len(loopless), len(calls), len(relabeled)) == counts
+        assert len(calls) == len(set(calls)) == len(listed)
+        # a bridged graph left out fails as the reported graph its X' is
+        failing: dict = {}
+        for c, d, yes in reported:
+            failing.setdefault(c, set()).add((d, yes))
+        left_out: dict = {}
+        for f in bridged:
+            left_out.setdefault(graphs[f[:2]], set()).add(f[2:])
+        assert all(failing[loopful_orbit_minimum(g.contracted)] == v for g, v in left_out.items())
 
 
 def test_run_harness_takes_one_min_cut_per_contracted_curve(monkeypatch):
