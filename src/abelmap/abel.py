@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -171,8 +172,15 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     partitional member) works exactly when no two partitional q share a
     class.  So does the pair test of partitional_pairs_certified, with no
     pair test and no class lookup per q: _least_shared_degree reduces each q
-    as it builds it, its table filled first from the reps, one class lookup
-    each, when they are given.
+    as it builds it.
+
+    Given reps, one per class, their piece totals lie in distinct classes
+    of X', so they are distinct, and a representative whose piece totals
+    are all >= 0 is pi of itself, partitional, in its own class.  So the
+    partitional q that are pi of their class's representative are exactly
+    the representatives' piece totals that are >= 0, and the choice works
+    exactly when those are binomial(d + P - 1, P - 1), every partitional q
+    of X' with P pieces: one class lookup per representative, no walk.
 
     >>> g = CurveGraph(["C1", "C2"], [(0, 1), (0, 1), (0, 1)])
     >>> reps = choose_representatives(g, 1).values()
@@ -184,29 +192,29 @@ def is_natural(g: CurveGraph, d: int, reps: Optional[Iterable] = None) -> bool:
     if d < 1:
         raise ValueError("degree must be >= 1")
     x = g.contracted
-    table: dict[tuple, tuple] = {}
-    if reps is not None:
-        for rep in reps:
-            rv = _check_vector(g, rep, "representative")
-            if sum(rv) != d:
-                raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
-            cls = multidegree_class(x, piece_totals(g, rv))
-            key = (cls[0] - d, *cls[1:])[:-1]  # the class's pivot-row residues
-            if key in table:
-                raise InvalidChooserError(
-                    f"representatives {table[key]} and {rv} share a class"
-                )
-            table[key] = rv
-        order = class_group_order(g)
-        if len(table) != order:
-            raise InvalidChooserError(
-                f"the choice has {len(table)} classes, the curve has {order}"
-            )
-        table = {key: piece_totals(g, rv) for key, rv in table.items()}
-    return _least_shared_degree(x, d, table) > d
+    if reps is None:
+        return _least_shared_degree(x, d) > d
+    held: dict[tuple, tuple] = {}  # pivot-row residues of a class -> its representative
+    kept = 0  # representatives with piece totals >= 0
+    for rep in reps:
+        rv = _check_vector(g, rep, "representative")
+        if sum(rv) != d:
+            raise InvalidChooserError(f"representative {rv} has total {sum(rv)} != {d}")
+        totals = piece_totals(g, rv)
+        cls = multidegree_class(x, totals)
+        key = (cls[0] - d, *cls[1:])[:-1]
+        if key in held:
+            raise InvalidChooserError(f"representatives {held[key]} and {rv} share a class")
+        held[key] = rv
+        kept += min(totals) >= 0
+    order = class_group_order(g)
+    if len(held) != order:
+        raise InvalidChooserError(f"the choice has {len(held)} classes, the curve has {order}")
+    _check_partitional(x.gamma, d)  # the default's walk refuses the same degrees
+    return kept == math.comb(d + x.gamma - 1, x.gamma - 1)
 
 
-def _least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
+def _least_shared_degree(x: CurveGraph, top: int) -> int:
     """The least d <= top at which two partitional multidegrees of the
     bridgeless x share a class, top + 1 if none do (cross_check_naturality
     says why one reversed walk finds it).
@@ -216,25 +224,38 @@ def _least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
     its entries are chosen: level p takes q[p] from what is left down to 0,
     and the quotient of divmod(q[p] + off[p], pivot p) comes off the later
     pivot rows' offsets through the nonzero entries of column p, and goes
-    back on before q[p] changes; the last entry takes the rest.  So vectors
-    sharing a prefix share its reduction: a leaf costs one division and an
-    inner node O(nonzeros of a column), with no class lookup.  A class is
-    keyed by its pivot-row residues; the balancing row is never read.  table
-    maps a key to the piece totals of the representative holding it
-    (is_natural) or to None once a walked vector holds it; a key held by
-    another vector, reps included, collides.
+    back on before q[p] changes.  So vectors sharing a prefix share its
+    reduction, with no class lookup.  A class is keyed by its pivot-row
+    residues; the balancing row is never read.
+
+    At the leaf, the last pivot row takes v from rest down to 0 (the
+    balancing entry takes rest - v), at residues (off + v) mod val for the
+    last pivot val: one arc of rest + 1 residues on the cycle Z/val.  The
+    block collides when rest >= val, or when its arc meets an arc taken
+    earlier under the same residues in the earlier pivot rows.  Its vectors
+    share q[0], so one test per block finds the degree top - q[0].  With
+    one pivot row the block is the whole walk and v is q[0]; its first
+    repeat is at v = top - val, degree val.  Taken arcs are disjoint, so
+    each is kept as the integer interval [lo, lo + n], 0 <= lo < val, the
+    ends of all in one sorted list per prefix.  A new [lo, hi] meets one
+    mod val when it meets one as integers, when the last, the only one
+    that can run past val - 1, runs on to lo (its end less val >= lo), or
+    when [lo, hi] runs on to the first one's start (hi less val >= it).  A
+    leaf costs one bisection, and nothing kept is sized by a pivot, which
+    can be the whole class count.
     """
     _check_partitional(x.gamma, top)
     basis = _lattice(x)
     last = len(basis) - 1  # the leaf level; pivot rows 0..last, balancing row last + 1
-    if last < 0:  # one piece: the one vector (top,), and the empty key
-        return top + 1 if table.get((), (top,)) == (top,) else 0
+    if last < 0:  # one piece: the one vector (top,)
+        return top + 1
     pivots = [val for val, _, _ in basis]
     spread = [[(k, col[k]) for k in range(p + 1, last + 1) if col[k]]
               for p, (_, col, _) in enumerate(basis)]
     off, res, quo = [0] * (last + 1), [0] * last, [0] * last
     q, left = [top] * last, [top] * (last + 1)  # left[p]: the total still to place at level p
     off[0], p = -top, 0  # multidegree_class shifts the total off the first entry
+    val, arcs = pivots[last], {}  # arcs: earlier residues -> the sorted ends of their arcs
     while True:
         while p < last:  # reduce row p at q[p], push its quotient down, descend
             quo[p], res[p] = divmod(q[p] + off[p], pivots[p])
@@ -244,12 +265,15 @@ def _least_shared_degree(x: CurveGraph, top: int, table: dict) -> int:
             p += 1
             if p < last:
                 q[p] = left[p]
-        prefix, o, val, rest = tuple(res), off[last], pivots[last], left[last]
-        for v in range(rest, -1, -1):
-            key = (*prefix, (v + o) % val)
-            if key in table and table[key] != (*q, v, rest - v):
-                return top - (q[0] if last else v)
-            table[key] = None
+        rest, lo = left[last], off[last] % val
+        if rest >= val:  # v and v - val share a residue
+            return top - q[0] if last else val
+        ends, hi = arcs.setdefault(tuple(res), []), lo + rest
+        i = bisect_left(ends, lo)
+        if ends and (i % 2 or i < len(ends) and ends[i] <= hi
+                     or ends[-1] - val >= lo or ends[0] <= hi - val):
+            return top - q[0]
+        ends[i:i] = lo, hi
         while True:  # back up to the deepest level with a smaller q[p] left
             p -= 1
             if p < 0:
@@ -307,5 +331,5 @@ def cross_check_naturality(g: CurveGraph, max_degree: int) -> list:
     eps = essential_connectivity(g)
     if eps < 2:
         raise RuntimeError(f"essential connectivity below 2 on {g!r}")
-    shared = _least_shared_degree(g.contracted, max_degree, {})
+    shared = _least_shared_degree(g.contracted, max_degree)
     return [(d, d < shared) for d in range(1, max_degree + 1) if (d < shared) != (eps > d)]

@@ -29,9 +29,11 @@ isomorphism.  It lists them in two stages, as nauty's geng | multig does
 above, with every multiplicity capped at 1, yields each connected simple
 graph S once, with its automorphisms.  Then each edge of S takes a
 multiplicity: >= 2 on a bridge of S and >= 1 on any other edge, since a
-multigraph over S has a bridge exactly when a bridge of S keeps one node.  A
-multiplicity vector is kept when no automorphism of S maps it lex-lower, and
-the automorphisms of S that fix it are the graph's.  Every isomorphism of
+multigraph over S has a bridge exactly when a bridge of S keeps one node.
+So the search charges one more node to its budget for each vertex that its
+row leaves with degree 1 in S, a bridge's end.  A multiplicity vector is
+kept when no automorphism of S maps it lex-lower, and the automorphisms of
+S that fix it are the graph's.  Every isomorphism of
 two multigraphs is one of their simple graphs, so each class is listed once.
 A listed graph is the least of its orbit under S's automorphisms, which need
 not be the orbit minimum of its full vector.  The total, every connected
@@ -125,10 +127,18 @@ def _canonical_vectors(gamma: int, max_edges: int, bridgeless: bool = False) -> 
         joined = classes - (lo != hi)
         # a list, not a generator: tuple() resizes those, and the tuple free list keeps them
         merged = last if lo == hi else tuple([hi if c == lo else c for c in last])
+        # bridgeless: slot (i, gamma - 1) closes row i.  A vertex left with degree
+        # 1 in S has a bridge for its one edge, which takes a second node; the
+        # last vertex closes no row, so a single edge pays once.  deg: i's degree
+        # before this slot, or 2, which pays nothing, on any other slot
+        deg = sum(prefix[k] for k in rows[i][:-1]) if bridgeless and j == gamma - 1 else 2
         if not (j == gamma - 1 and last[i] == i):  # a 0 closes i's class
-            yield from rec(prefix + (0,), budget, last, classes)
+            if budget - (deg == 1) >= classes - 1:
+                yield from rec(prefix + (0,), budget - (deg == 1), last, classes)
         for m in range(1, min(top, budget - joined + 1) + 1):  # a later node joins <= 2 classes
-            yield from rec(prefix + (m,), budget - m, merged, joined)
+            spent = budget - m - (deg + m == 1)
+            if spent >= joined - 1:
+                yield from rec(prefix + (m,), spent, merged, joined)
 
     return rec((), max_edges, identity, gamma)
 

@@ -75,23 +75,41 @@ def det_bareiss(mat: Matrix) -> int:
 
     All divisions in the Bareiss recurrence are exact, so the result is an
     int with no rounding anywhere.  The empty matrix has determinant 1.
+
+    A row whose entry in the pivot column is 0 is left alone at that step:
+    the recurrence would only multiply it by the pivot and divide it by the
+    previous one, and those factors telescope.  at[i] is the pivot of the
+    step that last rewrote row i (1 before any), so the recurrence's row is
+    row i times prev / at[i].  Eliminating row i divides by at[i] in place
+    of prev, and a row that becomes the pivot row is first brought to that
+    scale, entry by entry.  Every division is exact, as every Bareiss entry
+    is a minor (Bareiss, Math. Comp. 1968).  So a Laplacian minor, with few
+    nonzeros per column, costs the rows that meet each pivot column, not
+    all the rows below it.
     """
     n = len(mat)
     if n == 0:
         return 1
     A = [list(row) for row in mat]
-    sign = 1
-    prev = 1
+    at = [1] * n
+    sign = prev = 1
     for k in range(n - 1):
         if A[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if A[i][k]), None)
             if swap is None:
                 return 0
             A[k], A[swap] = A[swap], A[k]
+            at[k], at[swap] = at[swap], at[k]
             sign = -sign
+        row = A[k]
+        if at[k] != prev:
+            row = [x * prev // at[k] for x in row]
+        pivot = row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            r, a = A[i], A[i][k]
+            if a:
+                for j in range(k + 1, n):
+                    r[j] = (r[j] * pivot - a * row[j]) // at[i]
+                at[i] = pivot
+        prev = pivot
+    return sign * A[n - 1][n - 1] * prev // at[n - 1]

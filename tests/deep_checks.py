@@ -6,7 +6,8 @@ needs the test extras (helpers imports hypothesis).  It lists the loopless
 graphs with gamma <= 7, <= 9 edges once and runs every corpus check on that
 list, the harness sweeps through the CLI's --json report, and the
 self-checks that must survive python -O in a python -O child.  It prints
-each count; the first one off its pin exits 1 with a line naming the check.
+each count, and each check's wall time on stderr; the first count off its
+pin exits 1 with a line naming the check.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import abelmap
-from abelmap import CurveGraph, abel, essential_connectivity, harness, is_natural, partitional_multidegrees
+from abelmap import CurveGraph, abel, class_group_order, essential_connectivity, harness, is_natural
+from abelmap import partitional_multidegrees
 from abelmap.abel import _least_shared_degree
 from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.lattice import piece_totals
-from helpers import connected_multigraphs, dhar_reduced, edge_disjoint_paths_reach as reach
+from helpers import connected_multigraphs, dhar_reduced, doubled_cycle, edge_disjoint_paths_reach as reach
 from helpers import listing_least_shared_degree, loop_placements, loopful_orbit_minimum
 
 # the children import this abelmap, and helpers from this directory
@@ -31,7 +34,14 @@ HERE = [Path(abelmap.__file__).resolve().parents[1], Path(__file__).resolve().pa
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, HERE))}
 
 
+_since = [time.perf_counter()]  # the end of the last check
+
+
 def pin(name: str, got, want) -> None:
+    # got is computed before the call, so the time since the last pin is its check's
+    now = time.perf_counter()
+    print(f"{now - _since[0]:6.1f} s  {name}", file=sys.stderr, flush=True)
+    _since[0] = now
     print(f"{name}: {got}", flush=True)
     if got != want:
         sys.exit(f"deep check failed: {name}: got {got}, want {want}")
@@ -98,7 +108,7 @@ def class_walk_disagreements(corpus: list, max_degree: int) -> tuple:
     for g in bridgeless:
         for top in range(1, max_degree + 1):
             want = listing_least_shared_degree(g, top, {})
-            if _least_shared_degree(g, top, {}) != want:
+            if _least_shared_degree(g, top) != want:
                 wrong.append((g.edges, top, want))
     return len(bridgeless), wrong
 
@@ -109,7 +119,7 @@ def chip_firing_disagreements(graphs: list, max_degree: int) -> tuple:
     # class walk per X', must say natural below the same degree
     checks, natural, wrong = 0, 0, []
     for g in graphs:
-        shared = _least_shared_degree(g.contracted, max_degree, {})
+        shared = _least_shared_degree(g.contracted, max_degree)
         for d in range(1, max_degree + 1):
             totals: dict = {}
             for p in partitional_multidegrees(g.gamma, d):
@@ -120,6 +130,15 @@ def chip_firing_disagreements(graphs: list, max_degree: int) -> tuple:
             checks += 1
             natural += expected
     return checks, natural, wrong
+
+
+def large_curves() -> tuple:
+    # one lattice build at scale, its Matrix-Tree check a 299 x 299 Bareiss
+    # determinant, and one class walk over 20301 partitional multidegrees
+    order = class_group_order(doubled_cycle(300))
+    g = doubled_cycle(200)
+    g = CurveGraph(g.components, g.edges + ((0, 100),))
+    return order == 300 * 2**299, is_natural(g, 2), essential_connectivity(g) > 2
 
 
 def harness_report(max_gamma: int, max_edges: int, max_degree: int) -> tuple:
@@ -169,6 +188,8 @@ def main() -> None:
         name = f"harness ({gamma}, {edges}, 4): graphs, checks, ok"
         pin(name, harness_report(gamma, edges, 4), (graphs, 4 * graphs, True))
     pin("python -O self-checks: exit code", optimized_child(), 0)
+    pin("doubled 300-cycle: 300 * 2^299 classes; doubled 200-cycle and a chord: natural"
+        " at degree 2 by classes, by epsilon", large_curves(), (True, True, True))
 
     corpus = list(connected_multigraphs(7, 9))
     pin("loopless graphs (7, 9)", len(corpus), 4208)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -304,20 +305,9 @@ def test_the_reversed_walk_finds_every_degree_the_set_test_finds():
     for x in contracted.values():
         distinct = [d for d in range(1, 6) if classes_are_distinct(x, d)]
         for top in range(1, 6):
-            shared = abel._least_shared_degree(x, top, {})
+            shared = abel._least_shared_degree(x, top)
             below = [d for d in range(1, top + 1) if d < shared]
             assert below == [d for d in distinct if d <= top], (x.edges, top)
-
-
-def _rep_tables(x, d, totals) -> tuple:
-    # each representative's piece totals, keyed by its class for the listing
-    # oracle and by the class's pivot-row residues for the walk
-    listing, walk = {}, {}
-    for t in totals:
-        c = multidegree_class(x, t)
-        listing[c] = t
-        walk[(c[0] - d, *c[1:])[:-1]] = t
-    return listing, walk
 
 
 def test_the_class_walk_equals_the_listing_walk():
@@ -330,24 +320,59 @@ def test_the_class_walk_equals_the_listing_walk():
     for x in contracted.values():
         for top in range(1, 6):
             want = listing_least_shared_degree(x, top, {})
-            assert abel._least_shared_degree(x, top, {}) == want, (x.edges, top)
+            assert abel._least_shared_degree(x, top) == want, (x.edges, top)
     k6 = CurveGraph([f"C{i}" for i in range(6)],
                     [(i, j) for i in range(6) for j in range(i + 1, 6) for _ in range(2)])
     for x, top, want in [(doubled_cycle(40), 3, 4), (k6, 7, 8), (path(3).contracted, 4, 5)]:
         assert listing_least_shared_degree(x, top, {}) == want
-        assert abel._least_shared_degree(x, top, {}) == want
-    # tables pre-filled from the chosen and from the canonical representatives,
-    # on every curve, one piece (compact type) included
+        assert abel._least_shared_degree(x, top) == want
+    # chosen representatives, counted by is_natural, against the listing
+    # oracle with its table pre-filled from their piece totals: the chosen
+    # and the canonical representatives, on every curve, one piece
+    # (compact type) included
     answers = set()
     for g in [*curves, path(3), two_component(3)]:
         x = g.contracted
         for d in range(1, 4):
             for reps in (choose_representatives(g, d).values(), enumerate_classes(g, d)):
-                listing, walk = _rep_tables(x, d, [piece_totals(g, r) for r in reps])
-                want = listing_least_shared_degree(x, d, listing)
-                assert abel._least_shared_degree(x, d, walk) == want, (g.edges, d)
+                totals = [piece_totals(g, r) for r in reps]
+                listing = {multidegree_class(x, t): t for t in totals}
+                want = listing_least_shared_degree(x, d, listing) > d
+                assert is_natural(g, d, reps) == want, (g.edges, d)
                 answers.add(want)
-    assert answers == {0, 1, 2, 3, 4}
+    assert answers == {True, False}
+
+
+def test_the_class_walk_keeps_nothing_sized_by_a_pivot():
+    # K4 with six distinct multiplicities: its last pivot is the whole
+    # class count but one factor 2, and the walk's arcs stay a few entries
+    mult = [101, 103, 107, 109, 113, 127]
+    slots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    g = CurveGraph([f"C{i}" for i in range(4)],
+                   [s for s, m in zip(slots, mult) for _ in range(m)])
+    assert [val for val, _, _ in _lattice(g)] == [1, 2, 10602938]
+    assert cross_check_naturality(g, 4) == []
+    for top in range(1, 5):
+        tracemalloc.start()
+        shared = abel._least_shared_degree(g, top)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert shared == listing_least_shared_degree(g, top, {}) == top + 1
+        assert peak < 2**20, (top, peak)
+
+
+def test_a_sum_of_tails_moves_no_representative():
+    # a representative plus a sum of tails keeps its class and its piece
+    # totals, so the verdict stays, even with entries below 0 on X itself
+    g = triangle_with_pendant()
+    tail = (5, 0, 0, -5)  # C1 and C4, the ends of the bridge, lie on one piece
+    assert piece_totals(g, tail) == (0, 0, 0)
+    for d in range(1, 4):
+        reps = list(choose_representatives(g, d).values())
+        moved = [tuple(x + t for x, t in zip(r, tail)) for r in reps]
+        assert all(piece_totals(g, m) == piece_totals(g, r) for m, r in zip(moved, reps))
+        assert any(min(m) < 0 for m in moved)
+        assert is_natural(g, d, moved) == is_natural(g, d) == (essential_connectivity(g) > d)
 
 
 def test_is_natural_with_reps_matches_the_definition():

@@ -11,6 +11,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from abelmap.intlinalg import det_bareiss, row_hnf
+from helpers import doubled_cycle
 
 
 def _random_matrix(rng, m, n, lo=-9, hi=9):
@@ -105,3 +106,28 @@ def test_det_bareiss():
         n = rng.randint(1, 5)
         mat = _random_matrix(rng, n, n)
         assert det_bareiss(mat) == _det_fraction(mat)
+
+
+def test_det_bareiss_on_sparse_matrices_with_row_swaps():
+    # mostly zeros, so rows skip pivot columns, and a zero leading entry
+    # makes the first step swap rows
+    rng = random.Random(17)
+    swapped = nonzero = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        mat = [[rng.randint(-7, 7) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        mat[0][0] = 0
+        det = _det_fraction(mat)
+        assert det_bareiss(mat) == det, mat
+        swapped += any(row[0] for row in mat)
+        nonzero += det != 0
+    assert swapped > 200 and nonzero > 100
+
+
+def test_det_bareiss_counts_the_spanning_trees_of_a_doubled_cycle():
+    # a doubled n-cycle has n * 2^(n - 1) spanning trees: leave out one pair
+    # of nodes, then take one node of each other pair.  Its Laplacian minor
+    # is tridiagonal but for one corner row, so most rows skip each step
+    for n in (2, 3, 16, 100, 300):
+        minor = [list(row[:-1]) for row in doubled_cycle(n).pairing_matrix[:-1]]
+        assert abs(det_bareiss(minor)) == n * 2 ** (n - 1), n
