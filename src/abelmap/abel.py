@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from collections import deque
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -52,8 +53,11 @@ def essential_connectivity(g: CurveGraph):
 
     A minimizing cut can always be taken with no separating node in it, so
     this is the global minimum cut of X' = g.contracted, each non-loop node
-    an edge of weight 1, found by Stoer-Wagner in O(P * E log P) for P
-    pieces.  math.inf for one piece (compact type).
+    an edge of weight 1 (_min_cut).  A piece whose heaviest neighbour holds
+    at least half its nodes is first merged into that neighbour, which keeps
+    some minimum cut (_min_cut says why), so chains and pendant pieces go in
+    O(P + E) for P pieces, and Stoer-Wagner, O(P * E log P), runs only on
+    the kernel that remains.  math.inf for one piece (compact type).
     """
     x = g.contracted
     weight: dict = {k: {} for k in range(x.gamma)}  # piece -> {piece: nodes between}
@@ -65,16 +69,35 @@ def essential_connectivity(g: CurveGraph):
 
 
 def _min_cut(weight: dict) -> float:
-    """Stoer-Wagner global minimum cut of a connected bridgeless graph.
+    """Global minimum cut of a connected bridgeless graph.
 
     weight[v] maps each neighbour of v to the total weight between them.
-    Each phase adds vertices in maximum-adjacency order; the weight joining
-    the last one to all the others is a cut-of-the-phase, and the last two
-    are then merged.  The smallest cut-of-the-phase is the minimum cut.
-    With integer weights and no bridge no cut is below 2, so 2 ends the
-    search.  math.inf for one vertex.  Consumes weight.
+    First, each vertex v whose heaviest neighbour a holds at least half of
+    its degree, 2 w(v, a) >= delta(v), gives the cut {v} and is merged into
+    a (Padberg-Rinaldi); this is exact, because moving v to a's side never
+    enlarges a cut that parts v from a, so some minimum cut is {v} or keeps
+    v with a.  Pendant vertices and vertices with two neighbours always
+    qualify, so chains go in O(V + E).  Stoer-Wagner, O(V * E log V), runs
+    on the kernel that remains: each phase adds vertices in
+    maximum-adjacency order; the weight joining the last one to all the
+    others is a cut-of-the-phase, and the last two are then merged.  The
+    smallest cut found is the minimum cut.  With integer weights and no
+    bridge no cut is below 2, so 2 ends the search.  math.inf for one
+    vertex.  Consumes weight.
     """
     best = INFINITY
+    todo, queued = deque(weight), set(weight)  # vertices to test, none twice in todo
+    while todo and len(weight) > 1 and best > 2:
+        v = todo.popleft()
+        queued.remove(v)
+        a = max(weight[v], key=weight[v].get)
+        cut = sum(weight[v].values())
+        if 2 * weight[v][a] >= cut:
+            best = min(best, cut)
+            fresh = weight[v].keys() - queued  # a and the others whose weights change
+            todo += fresh
+            queued |= fresh
+            _merge(weight, v, a)
     while len(weight) > 1 and best > 2:
         start = next(iter(weight))
         attached = dict.fromkeys(weight, 0)  # weight to the vertices added so far
@@ -92,12 +115,17 @@ def _min_cut(weight: dict) -> float:
                     attached[u] += w
                     heapq.heappush(heap, (-attached[u], u))
         best = min(best, attached[last])
-        for u, w in weight.pop(last).items():  # merge last into prev
-            del weight[u][last]
-            if u != prev:
-                weight[prev][u] = weight[prev].get(u, 0) + w
-                weight[u][prev] = weight[u].get(prev, 0) + w
+        _merge(weight, last, prev)
     return best
+
+
+def _merge(weight: dict, v, a) -> None:
+    """Merge vertex v into vertex a, adding up the weights they share."""
+    for u, w in weight.pop(v).items():
+        del weight[u][v]
+        if u != a:
+            weight[a][u] = weight[a].get(u, 0) + w
+            weight[u][a] = weight[u].get(a, 0) + w
 
 
 def has_natural_abel_map(g: CurveGraph, d: int) -> bool:

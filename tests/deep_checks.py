@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ from abelmap.abel import _least_shared_degree
 from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.lattice import piece_totals
 from helpers import connected_multigraphs, dhar_reduced, doubled_cycle, edge_disjoint_paths_reach as reach
-from helpers import listing_least_shared_degree, loop_placements, loopful_orbit_minimum
+from helpers import listing_least_shared_degree, loop_placements, loopful_orbit_minimum, subdivided
 
 # the children import this abelmap, and helpers from this directory
 HERE = [Path(abelmap.__file__).resolve().parents[1], Path(__file__).resolve().parent]
@@ -97,6 +98,20 @@ def menger_disagreements(corpus: list) -> tuple:
         k = g.edge_count + 1 if eps == math.inf else eps
         if not reach(g, k) or (eps < math.inf and reach(g, eps + 1)):
             wrong.append((g.edges, eps))
+    return len(bridgeless), wrong
+
+
+def subdivided_menger_disagreements(graphs: list) -> tuple:
+    # each bridgeless graph with its node classes made chains of 1-3 pieces,
+    # from a fixed seed: epsilon, found by contracting chains and pendant
+    # pieces of X' around a Stoer-Wagner kernel, against Menger paths on X'
+    rng, bridgeless, wrong = random.Random(36), [g for g in graphs if not g.bridges and g.gamma > 1], []
+    for g in bridgeless:
+        x = subdivided(g, rng).contracted
+        eps = essential_connectivity(x)
+        k = x.edge_count + 1 if eps == math.inf else eps
+        if not reach(x, k) or (eps < math.inf and reach(x, eps + 1)):
+            wrong.append((g.edges, x.edges, eps))
     return len(bridgeless), wrong
 
 
@@ -199,9 +214,11 @@ def main() -> None:
         contracted_covering(corpus), (818, 260, True))
     pin("bridgeless graphs against Menger paths, disagreements",
         menger_disagreements(corpus), (818, []))
+    sub = [g for g, _ in corpus if g.gamma <= 6 and g.edge_count <= 8]
+    pin("subdivided bridgeless corpus (gamma <= 6, E <= 8): epsilon against Menger paths, disagreements",
+        subdivided_menger_disagreements(sub), (259, []))
     pin("bridgeless graphs, class walk against the listing walk at degrees 1..5, disagreements",
         class_walk_disagreements(corpus, 5), (818, []))
-    sub = [g for g, _ in corpus if g.gamma <= 6 and g.edge_count <= 8]
     checks, natural, wrong = chip_firing_disagreements(sub, 3)
     print(f"chip-firing (6, 8, 3): {natural} natural")
     pin("chip-firing (6, 8, 3): graphs, checks, disagreements", (len(sub), checks, wrong),

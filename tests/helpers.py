@@ -50,6 +50,20 @@ def doubled_cycle(n: int) -> CurveGraph:
     return CurveGraph(labels, [(i, (i + 1) % n) for i in range(n)] * 2)
 
 
+def subdivided(g: CurveGraph, rng) -> CurveGraph:
+    """The loopless g with the nodes joining each pair of adjacent components
+    replaced by a chain of 1-3 new components between the pair, each link of
+    the chain 1-3 nodes, all drawn from rng (a random.Random)."""
+    gamma, edges = g.gamma, []
+    for a, b in sorted(set(g.edges)):
+        k = rng.randint(1, 3)
+        chain = [a, *range(gamma, gamma + k), b]
+        gamma += k
+        for u, v in zip(chain, chain[1:]):
+            edges += [(u, v)] * rng.randint(1, 3)
+    return CurveGraph([f"C{i + 1}" for i in range(gamma)], edges)
+
+
 def star(leaves: int) -> CurveGraph:
     labels = [f"C{i + 1}" for i in range(leaves + 1)]
     return CurveGraph(labels, [(0, i + 1) for i in range(leaves)])

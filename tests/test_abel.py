@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
 import tracemalloc
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +49,7 @@ from helpers import (
     multigraphs_with_loops,
     path,
     star,
+    subdivided,
     triangle_with_pendant,
     two_component,
 )
@@ -105,16 +109,75 @@ def test_epsilon_matches_piece_scan_oracle(g):
     assert essential_connectivity(g) == epsilon_by_piece_scan(g)
 
 
-def test_epsilon_at_scale():
+def _curve(gamma: int, weights: dict) -> CurveGraph:
+    # weights: (a, b) -> the number of nodes joining components a and b
+    return CurveGraph([f"C{i}" for i in range(gamma)], [e for e, w in weights.items() for _ in range(w)])
+
+
+def _twin_rings(n: int) -> CurveGraph:
+    # two doubled n-cycles joined by three nodes: cutting those is cheapest
+    ring = [(i, (i + 1) % n) for i in range(n)] * 2
+    joins = [(0, n), (3 * n // 10, 3 * n // 2), (6 * n // 10, 17 * n // 10)]
+    return CurveGraph([f"C{i}" for i in range(2 * n)], ring + [(a + n, b + n) for a, b in ring] + joins)
+
+
+def _eps_and_pushes(monkeypatch, g) -> tuple:
+    # essential_connectivity(g) and the heap pushes of its Stoer-Wagner phases
+    pushes = []
+
+    def heappush(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    with monkeypatch.context() as m:
+        m.setattr(abel, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        return essential_connectivity(g), len(pushes)
+
+
+def test_epsilon_at_scale(monkeypatch):
     assert essential_connectivity(doubled_cycle(200)) == 4
-    # two doubled 100-cycles joined by three nodes: cutting those is cheapest
-    ring = [(i, (i + 1) % 100) for i in range(100)] * 2
-    edges = ring + [(a + 100, b + 100) for a, b in ring] + [(0, 100), (30, 150), (60, 170)]
-    assert essential_connectivity(CurveGraph([f"C{i}" for i in range(200)], edges)) == 3
+    assert essential_connectivity(_twin_rings(100)) == 3
+    # every piece meets two others, so the chains are contracted and no
+    # phase is left to run: Stoer-Wagner alone pushes 2,000,998 times here
+    g = doubled_cycle(2000)
+    assert _eps_and_pushes(monkeypatch, g) == (4, 0)
+    assert essential_connectivity(CurveGraph(g.components, g.edges[:-1])) == 3  # one link a single node
+    assert essential_connectivity(_twin_rings(1000)) == 3
     # a path: every node separating, one piece, found without deep recursion
     g = path(2000)
     assert len(g.bridges) == 1999
     assert essential_connectivity(g) == math.inf
+
+
+def test_epsilon_contraction_rule_on_hand_cases(monkeypatch):
+    # a piece v is merged into its heaviest neighbour a when 2 w(v, a) >=
+    # delta(v), and the cut {v} is kept; Menger paths confirm each epsilon
+    k4 = dict.fromkeys(combinations(range(4), 2), 2)
+    cases = [
+        # a chain 0-2-3-4-1 closing onto 1, which already meets 0 in one node:
+        # the last merges add a chain link to that node's weight, and the cut
+        # is that node and one link
+        (_curve(5, {(0, 1): 1, (0, 2): 2, (2, 3): 2, (3, 4): 2, (1, 4): 2}), 3, True),
+        # 0 and 1 meet in 4 nodes, and each meets 2 and 3 once: weights (4, 1, 1)
+        # fire, then the rest is chains
+        (_curve(4, {(0, 1): 4, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1}), 3, True),
+        # K4 with one perfect matching single and the other nodes doubled: every
+        # piece has weights (2, 2, 1), so nothing fires and a phase runs
+        (_curve(4, {(0, 1): 2, (0, 2): 2, (0, 3): 1, (1, 2): 1, (1, 3): 2, (2, 3): 2}), 5, False),
+        # 4 meets 0 and 1 three times each, on a doubled K4: (3, 3) fires at
+        # exactly half, and then every piece in turn
+        (_curve(5, {**k4, (0, 4): 3, (1, 4): 3}), 6, True),
+    ]
+    # v = 4 meets a = 0 twice, b = 5 twice and c = 6 once, between two doubled
+    # K4: weights (2, 2, 1), short of half.  The cheapest cut, 3, parts v from
+    # a, so merging v into a heavy neighbour loses it on one of the labelings
+    right = {(a + 5, b + 5): w for (a, b), w in k4.items()}
+    for a, b, c in [(0, 5, 6), (5, 0, 1)]:
+        cases.append((_curve(9, {**k4, **right, (a, 4): 2, (b, 4): 2, (c, 4): 1, (3, 8): 1}), 3, False))
+    for g, want, contracted in cases:
+        eps, pushes = _eps_and_pushes(monkeypatch, g)
+        assert eps == want and _menger_count_is(g, want), g
+        assert (pushes == 0) == contracted, g
 
 
 def test_epsilon_scans_pieces_not_components():
@@ -147,6 +210,21 @@ def test_epsilon_is_the_menger_path_count_exhaustive():
             assert _menger_count_is(g, eps), g
         checked += 1
     assert checked == 731
+
+
+def test_epsilon_is_the_menger_path_count_on_subdivided_graphs():
+    # each bridgeless graph with its node classes made chains of 1-3 pieces:
+    # chains to contract around kernels of three or more pieces, and single
+    # links that separate, so X' is taken first
+    rng, checked = random.Random(36), 0
+    for g, _ in connected_multigraphs(4, 6):
+        if g.bridges or g.gamma == 1:
+            continue
+        x = subdivided(g, rng).contracted
+        eps = essential_connectivity(x)
+        assert (eps == math.inf) if x.gamma == 1 else _menger_count_is(x, eps), x
+        checked += 1
+    assert checked == 31
 
 
 @pytest.mark.parametrize("n", [3, 10, 100, 300])
