@@ -8,11 +8,14 @@ one entry per component label, one node per edge (a loop repeats the
 label).  Every subcommand emits a flat report, human-readable by default
 or machine-readable with --json.  Exit codes: 0 success (and true for
 predicate commands), 1 predicate false or harness failures, 2 error.
+
+argv is read straight from the command table COMMANDS, with the rules of
+argparse (unique prefixes of flags, "--flag value" or "--flag=value"), so
+start-up imports no parser library and builds no parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -142,10 +145,12 @@ COMMANDS: list = []  # filled by @_Command(...), in `abelmap --help` order
 class _Command(NamedTuple):
     """A subcommand; decorating compute(g, **options) -> outputs registers it.
 
-    Exit code 1 when the `predicate` output is false.  In text mode
-    `text(outputs, **options)` replaces the `key: value` lines.  Compute
-    steps call the library through module attributes (abel.x), so code that
-    rebinds such an attribute sees the call.
+    The argv parser and the help read name, help, needs_graph (one
+    positional graph path) and options from here.  Exit code 1 when the
+    `predicate` output is false.  In text mode `text(outputs, **options)`
+    replaces the `key: value` lines.  Compute steps call the library
+    through module attributes (abel.x), so code that rebinds such an
+    attribute sees the call.
     """
 
     name: str
@@ -321,17 +326,15 @@ def _harness(g, max_gamma: int, max_edges: int, max_degree: int) -> dict:
 # ----- the runner -----------------------------------------------------------
 
 
-def _run(cmd: _Command, args: argparse.Namespace) -> int:
+def _run(cmd: _Command, graph: Optional[str], as_json: bool, given: dict) -> int:
     g, inputs, values = None, {}, {}
     if cmd.needs_graph:
-        with open(args.graph, "r", encoding="utf-8") as fh:
+        with open(graph, "r", encoding="utf-8") as fh:
             g = parse_graph(fh.read())
         inputs["graph"] = serialize_graph(g)
     for opt in cmd.options:
         dest = opt.flag[2:].replace("-", "_")
-        value = getattr(args, dest)
-        if value == []:  # argparse before 3.13 reads "--flag=--" as an empty list
-            raise ValueError(f"{opt.flag} needs a value")
+        value = given[opt.flag]
         if opt.kind == VECTOR and value is not None:
             value = _parse_vector(value, g.gamma, opt.flag)
         values[dest] = value
@@ -339,7 +342,7 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
         if shown is not None:
             inputs[dest] = shown
     outputs = cmd.compute(g, **values)
-    if args.json:
+    if as_json:
         print(Report(cmd.name, inputs, outputs).to_json())
     elif cmd.text is not None:
         print(cmd.text(outputs, **values))
@@ -349,39 +352,111 @@ def _run(cmd: _Command, args: argparse.Namespace) -> int:
     return 0 if cmd.predicate is None or outputs[cmd.predicate] else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abelmap",
-        description="Natural Abel maps of nodal curves from their dual graphs.",
-    )
-    parser.set_defaults(command=None)
-    sub = parser.add_subparsers(dest="cmd")
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, help=cmd.help)
-        if cmd.needs_graph:
-            p.add_argument("graph", help="path to a JSON graph document")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        for opt in cmd.options:
-            p.add_argument(
-                opt.flag,
-                type=int if opt.kind == INT else None,
-                required=opt.required,
-                help=opt.help,
-            )
-        p.set_defaults(command=cmd)
-    return parser
+# ----- argv -----------------------------------------------------------------
 
 
-PARSER = _build_parser()  # once per process, at import: main only parses
+def _flag(cmd: Optional[_Command], token: str) -> Optional[str]:
+    """The flag that token (up to any "=") names: exactly, or as the unique
+    prefix of a --flag, as argparse's allow_abbrev reads it; else None."""
+    head = token.partition("=")[0]
+    flags = ("--help", "--json", *(o.flag for o in cmd.options)) if cmd else ("--help",)
+    if head in flags or head == "-h":
+        return head
+    hits = [f for f in flags if head[2:] and head.startswith("--") and f.startswith(head)]
+    if len(hits) > 1:
+        _fail(cmd, f"ambiguous option: {head} could match {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _is_positional(token: str) -> bool:
+    # a dash-led token that names no flag is still an argument when it is a
+    # negative integer, a lone "-", or holds a space, as argparse reads it
+    return not token.startswith("-") or token == "-" or token[1:].isdecimal() or " " in token
+
+
+def _parse(argv: list) -> tuple:
+    """(command, graph path, --json given, {flag: value}) from argv.
+
+    Each flag of the command's COMMANDS entry takes one value, separate or
+    after "=", and the last one given wins.  A separate value may start
+    with "-" only as a negative integer.  Bad argv prints the usage and an
+    error line and raises SystemExit(2).
+    """
+    name = next(iter(argv), None)
+    cmd = next((c for c in COMMANDS if c.name == name), None)
+    if cmd is None:
+        if name and _flag(None, name):  # -h, or --help or a prefix of it
+            _exit_with_help(None)
+        _fail(None, "no command given" if name is None else f"unknown command {name!r}")
+    given, graph, as_json, extras = dict.fromkeys(o.flag for o in cmd.options), None, False, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = _flag(cmd, token)
+        if flag is None:
+            if cmd.needs_graph and graph is None and _is_positional(token):
+                graph = token
+            else:
+                extras.append(token)
+            continue
+        _, eq, value = token.partition("=")
+        if flag in ("-h", "--help", "--json"):
+            if eq:
+                _fail(cmd, f"argument {flag}: ignored explicit argument {value!r}")
+            if flag != "--json":
+                _exit_with_help(cmd)
+            as_json = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if _flag(cmd, value) or not _is_positional(value):
+                _fail(cmd, f"argument {flag}: expected one argument")
+        elif value == "--":
+            raise ValueError(f"{flag} needs a value")
+        if next(o.kind for o in cmd.options if o.flag == flag) == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(cmd, f"argument {flag}: invalid int value: {value!r}")
+        given[flag] = value
+    missing = ["graph"] if cmd.needs_graph and graph is None else []
+    missing += [o.flag for o in cmd.options if o.required and given[o.flag] is None]
+    if missing:
+        _fail(cmd, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(cmd, f"unrecognized arguments: {' '.join(extras)}")
+    return cmd, graph, as_json, given
+
+
+def _usage(cmd: Optional[_Command]) -> str:
+    if cmd is None:
+        return "usage: abelmap [-h] <command> ...  (abelmap <command> -h lists its options)"
+    words = [f"{o.flag} {o.kind.upper()}" for o in cmd.options]
+    words = [w if o.required else f"[{w}]" for o, w in zip(cmd.options, words)]
+    graph = ["graph"] * cmd.needs_graph
+    return " ".join(["usage: abelmap", cmd.name, "[-h] [--json]", *words, *graph])
+
+
+def _exit_with_help(cmd: Optional[_Command]):
+    rows = [(c.name, c.help) for c in COMMANDS] if cmd is None else [
+        *[("graph", "path to a JSON graph document")] * cmd.needs_graph,
+        ("--json", "machine-readable report"),
+        *((f"{o.flag} {o.kind.upper()}", o.help or "") for o in cmd.options)]
+    width = max(len(name) for name, _ in rows) + 2
+    about = "Natural Abel maps of nodal curves from their dual graphs." if cmd is None else cmd.help
+    rows = [f"  {name.ljust(width)}{text}".rstrip() for name, text in rows]
+    print(_usage(cmd), "", about, "", *rows, sep="\n")
+    raise SystemExit(0)
+
+
+def _fail(cmd: Optional[_Command], message: str):
+    prog = "abelmap" if cmd is None else f"abelmap {cmd.name}"
+    print(_usage(cmd), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = PARSER.parse_args(argv)
-    if args.command is None:
-        PARSER.print_help()
-        return 2
     try:
-        return _run(args.command, args)
+        return _run(*_parse(sys.argv[1:] if argv is None else argv))
     except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

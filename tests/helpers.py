@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -19,6 +21,7 @@ from abelmap import (
     partitional_multidegrees,
     twister_divisor,
 )
+from abelmap.cli import COMMANDS, INT
 from abelmap.harness import _canonical_vectors, _top_gamma
 from abelmap.lattice import _lattice, _reduce, piece_totals
 
@@ -508,3 +511,29 @@ def harness_failures_by_graph(max_gamma: int, max_edges: int, max_degree: int, c
         for g in multigraphs_with_loops(max_gamma, max_edges)
         for d, _ in check(g.contracted, max_degree)
     ))
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The CLI's argv reading built with argparse from cli.COMMANDS, as the
+    CLI itself once did: the oracle of its table-driven parser.  Each
+    subparser's set_defaults(command=...) names the command."""
+    parser = argparse.ArgumentParser(prog="abelmap")
+    parser.set_defaults(command=None)
+    sub = parser.add_subparsers(dest="cmd")
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.needs_graph:
+            p.add_argument("graph", help="path to a JSON graph document")
+        p.add_argument("--json", action="store_true", help="machine-readable report")
+        for opt in cmd.options:
+            p.add_argument(
+                opt.flag,
+                type=int if opt.kind == INT else None,
+                required=opt.required,
+                help=opt.help,
+            )
+        p.set_defaults(command=cmd)
+        # the reading of a dash-led argument that argparse had when the CLI
+        # used it (a negative number is -\d+ or a decimal), on every Python
+        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
+    return parser

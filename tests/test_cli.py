@@ -21,7 +21,7 @@ import abelmap
 from abelmap import CurveGraph, choose_representatives, cli, harness, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult, run_harness
-from helpers import cycle, doubled_cycle, path
+from helpers import argparse_cli_parser, cycle, doubled_cycle, path
 
 TWO_DELTA3 = {
     "components": ["C1", "C2"],
@@ -237,7 +237,8 @@ def test_canonical_rep_command(graph_file, capsys):
 
 
 def test_canonical_rep_negative_first_entry(graph_file, capsys):
-    # argparse reads "--t -3,3" as two flags; the "=" form passes the vector
+    # a separate value may start with "-" only as a negative integer, so
+    # "--t -3,3" is two flags; the "=" form passes the vector
     assert main(["canonical-rep", graph_file(TWO_DELTA3), "--t=-3,3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "t: (-3, 3)"
 
@@ -294,17 +295,6 @@ def test_not_a_twister_on_one_component_names_the_zero_lattice(graph_file, capsy
     )
 
 
-def test_main_builds_no_parser(graph_file, monkeypatch, capsys):
-    # the parser is built once, at import; main only parses
-    def refuse():
-        raise AssertionError("main built a parser")
-
-    monkeypatch.setattr(cli, "_build_parser", refuse)
-    f = graph_file({"components": ["A", "B"], "nodes": [["A", "B"], ["A", "B"]]})
-    assert main(["epsilon", f]) == 0
-    assert capsys.readouterr().out == "epsilon: 2\n"
-
-
 def _loaded_by_importing_the_cli(names: tuple) -> str:
     # those of names in sys.modules after `import abelmap.cli` in a fresh interpreter
     src = str(Path(abelmap.__file__).parent.parent)
@@ -326,6 +316,12 @@ def test_importing_the_cli_loads_no_dataclasses():
     # records are named tuples: dataclasses would load inspect, ast and dis
     # at every start-up, for no answer
     assert _loaded_by_importing_the_cli(("dataclasses", "inspect", "ast", "dis")) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_argparse():
+    # argv is read from the command table: argparse (and the gettext and
+    # locale it imports) would cost every start-up more than most answers
+    assert _loaded_by_importing_the_cli(("argparse", "gettext", "locale")) == "[]\n"
 
 
 def test_s_set_command(graph_file, capsys):
@@ -654,19 +650,121 @@ def test_missing_file_is_an_error(capsys):
     ("--max-gamma", ["harness", "--max-gamma=--", "--max-edges=2", "--max-degree=1"]),
 ])
 def test_double_dash_as_an_option_value_is_an_error(flag, argv, graph_file, capsys):
-    # argparse before 3.13 hands the option an empty list; 3.13 passes "--"
-    # on as the value, or exits 2 itself when it is not an int
     graph = graph_file(TWO_DELTA3)
+    assert main([a.format(graph=graph) for a in argv]) == 2
+    assert _one_line_error(capsys) == f"error: {flag} needs a value\n"
+
+
+# ----- argv: help, errors, and argparse as the oracle ------------------------
+
+
+def _exit_code(argv: list) -> int:
     try:
-        code = main([a.format(graph=graph) for a in argv])
+        return main(argv)
     except SystemExit as exc:
-        code = exc.code
-    else:
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        if sys.version_info < (3, 13):
-            assert err == f"error: {flag} needs a value\n"
-    assert code == 2
+        return exc.code
+
+
+def test_help_lists_every_command_and_option(capsys):
+    assert _exit_code([]) == 2
+    assert capsys.readouterr().err.splitlines() == [cli._usage(None), "abelmap: error: no command given"]
+    for flag in ("-h", "--help", "--he"):
+        assert _exit_code([flag]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines() if line[:2] == "  "]
+        assert rows == [[c.name, c.help] for c in cli.COMMANDS]
+    for cmd in cli.COMMANDS:
+        assert _exit_code([cmd.name, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: abelmap {cmd.name} [-h] [--json]")
+        named = [line.split()[0] for line in out.splitlines() if line[:2] == "  "]
+        assert named == ["graph"] * cmd.needs_graph + ["--json", *(o.flag for o in cmd.options)]
+    assert _exit_code(["is-natural", "-h"]) == 0  # help comes before the missing graph
+    assert cli.REPS.help in capsys.readouterr().out
+
+
+ARGV_ERRORS = [
+    (["frob"], "abelmap: error: unknown command 'frob'"),
+    (["epsilon", "{graph}", "--frob"], "abelmap epsilon: error: unrecognized arguments: --frob"),
+    (["natural-abel", "{graph}"],
+     "abelmap natural-abel: error: the following arguments are required: --degree"),
+    (["epsilon", "--json"], "abelmap epsilon: error: the following arguments are required: graph"),
+    (["epsilon", "{graph}", "{graph}"], "abelmap epsilon: error: unrecognized arguments: {graph}"),
+    (["natural-abel", "{graph}", "--degree"],
+     "abelmap natural-abel: error: argument --degree: expected one argument"),
+    (["natural-abel", "{graph}", "--degree", "x"],
+     "abelmap natural-abel: error: argument --degree: invalid int value: 'x'"),
+    (["equiv", "{graph}", "--d", "1,0", "--d2=0,1"],
+     "abelmap equiv: error: ambiguous option: --d could match --d1, --d2"),
+    (["harness", "{graph}", "--max-gamma", "1", "--max-edges", "1", "--max-degree", "1"],
+     "abelmap harness: error: unrecognized arguments: {graph}"),
+]
+
+
+@pytest.mark.parametrize("argv, error", ARGV_ERRORS)
+def test_argv_errors_print_usage_and_exit_2(argv, error, graph_file, capsys):
+    graph = graph_file(TWO_DELTA3)
+    assert _exit_code([a.format(graph=graph) for a in argv]) == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert usage == cli._usage(next((c for c in cli.COMMANDS if c.name == argv[0]), None))
+    assert line == error.format(graph=graph)
+
+
+ORACLE = argparse_cli_parser()
+ARGS = ["g.json", "1", "-3", "x", "1,0", "0,-1", "-3,3", "-3, 3", "-", ""]
+
+
+@st.composite
+def argvs(draw):
+    """argv for a command of the table (or an unknown one): its own flags
+    exact or abbreviated, foreign flags, values joined by "=", separate or
+    missing, and positionals, in any order; mostly beside a complete call."""
+    cmd = draw(st.sampled_from(cli.COMMANDS))
+    flags = ["--json", *(o.flag for o in cmd.options)]
+    spellings = [f[:k] for f in flags for k in range(3, len(f) + 1)] + ["--jobs", "--d", "--x"]
+    forms = {"=": lambda f, v: [f"{f}={v}"], " ": lambda f, v: [f, v], "": lambda f, v: [f]}
+    option = st.builds(lambda form, f, v: forms[form](f, v), st.sampled_from(sorted(forms)),
+                       st.sampled_from(spellings), st.sampled_from(ARGS))
+    chunks = draw(st.lists(option | st.builds(lambda a: [a], st.sampled_from(ARGS)), max_size=2))
+    if draw(st.integers(0, 3)):
+        chunks += [["g.json"]] * cmd.needs_graph + [[o.flag, "1"] for o in cmd.options if o.required]
+    name = draw(st.sampled_from([cmd.name] * 5 + ["frob"]))
+    return [name, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+def _argparse_reading(argv: list):
+    try:
+        with redirect_stderr(io.StringIO()):
+            ns = ORACLE.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+    values = {o.flag: getattr(ns, o.flag[2:].replace("-", "_")) for o in ns.command.options}
+    return ns.command.name, getattr(ns, "graph", None), ns.json, values
+
+
+def _table_reading(argv: list):
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err):
+            cmd, graph, as_json, values = cli._parse(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        usage, line = err.getvalue().splitlines()
+        assert usage.startswith("usage: abelmap") and line.startswith("abelmap") and ": error: " in line
+        return None
+    return cmd.name, graph, as_json, values
+
+
+@settings(deadline=None, max_examples=500)
+@given(argvs())
+@example(["natural-abel", "g.json", "--deg", "3"])  # a unique prefix
+@example(["canonical-rep", "g.json", "--t", "-3,3"])  # a dash-led vector is another flag
+@example(["natural-abel", "g.json", "--json"])  # a required option left out
+def test_argv_is_read_as_argparse_reads_it(argv):
+    """The table-driven parser rejects argv (exit 2) exactly when argparse,
+    built from the same table, does, and otherwise reads the same command,
+    graph, --json and option values."""
+    assert _table_reading(argv) == _argparse_reading(argv)
 
 
 # ----- fuzzing: malformed input never crashes -------------------------------
@@ -761,7 +859,7 @@ def test_cli_fuzz_exit_codes(call):
         with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejected the arguments
+            except SystemExit as exc:  # the argv parser rejected the arguments
                 assert exc.code == 2
                 return
     assert code in (0, 1, 2)
