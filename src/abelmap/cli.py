@@ -12,6 +12,12 @@ predicate commands), 1 predicate false or harness failures, 2 error.
 argv is read straight from the command table COMMANDS, with the rules of
 argparse (unique prefixes of flags, "--flag value" or "--flag=value"), so
 start-up imports no parser library and builds no parser.
+
+A --json report is the text of json.dumps(report, indent=2, sort_keys=True),
+with ±inf as the string "infinity", but written by _json_text in one pass:
+json.dumps with an indent cannot use the C encoder (up to Python 3.13) and
+runs a pure-Python generator per value, which took longer than ε itself on
+a 16-component curve.  Strings still go through json's C escaper.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .graph import CurveGraph
 from .harness import run_harness
 
 INFINITY_TOKEN = "infinity"
+_quote = json.encoder.encode_basestring_ascii  # json's C string escaper, quotes included
 
 
 def _load_json(text: str):
@@ -42,7 +49,7 @@ def parse_graph(text: str) -> CurveGraph:
         raise ValueError("graph document must be a JSON object")
     components = doc.get("components")
     nodes = doc.get("nodes")
-    if not _is_label_list(components):
+    if not (isinstance(components, list) and all(isinstance(c, str) for c in components)):
         raise ValueError('"components" must be a list of labels')
     if not isinstance(nodes, list):
         raise ValueError('"nodes" must be a list of label pairs')
@@ -51,17 +58,13 @@ def parse_graph(text: str) -> CurveGraph:
         raise ValueError("component labels must be distinct")
     edges = []
     for pair in nodes:
-        if not (_is_label_list(pair) and len(pair) == 2):
+        a, b = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+        if not (isinstance(a, str) and isinstance(b, str)):
             raise ValueError(f"node {pair!r} must be a pair of labels")
-        a, b = pair
         if a not in index or b not in index:
             raise ValueError(f"node {pair!r} references an unknown component")
         edges.append((index[a], index[b]))
     return CurveGraph(components, edges)
-
-
-def _is_label_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def serialize_graph(g: CurveGraph) -> dict:
@@ -80,22 +83,32 @@ class Report(NamedTuple):
     outputs: dict
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": _encode(self.inputs),
-            "outputs": _encode(self.outputs),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json_text(self._asdict(), "")
 
 
-def _encode(value):
-    if isinstance(value, float) and math.isinf(value):
-        return INFINITY_TOKEN
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it at the
+    nesting `indent`, but ±inf as the string "infinity".  Each value must be
+    of one of the exact types matched below, each dict key a str; anything
+    else raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        inner = indent + "  "
+        items = [_quote(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
+    if kind is dict:
+        inner = indent + "  "
+        items = [f"{_quote(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}" if items else "{}"
+    if kind is float:
+        return _quote(INFINITY_TOKEN) if math.isinf(value) else "NaN" if value != value else repr(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fmt(value) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 from functools import lru_cache
@@ -537,3 +538,25 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
         # used it (a negative number is -\d+ or a decimal), on every Python
         p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
     return parser
+
+
+def json_report_oracle(report) -> str:
+    """Report.to_json as the CLI once wrote it: a copy of the report with
+    ±inf as the string "infinity" and tuples as lists, through
+    json.dumps(indent=2, sort_keys=True)."""
+    payload = {
+        "command": report.command,
+        "inputs": _encode(report.inputs),
+        "outputs": _encode(report.outputs),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _encode(value):
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity"
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value

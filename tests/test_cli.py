@@ -21,7 +21,7 @@ import abelmap
 from abelmap import CurveGraph, choose_representatives, cli, harness, multidegree_class
 from abelmap.cli import Report, main, parse_graph, serialize_graph
 from abelmap.harness import HarnessResult, run_harness
-from helpers import argparse_cli_parser, cycle, doubled_cycle, path
+from helpers import argparse_cli_parser, cycle, doubled_cycle, json_report_oracle, path
 
 TWO_DELTA3 = {
     "components": ["C1", "C2"],
@@ -121,7 +121,10 @@ def _one_line_error(capsys) -> str:
 def test_cli_golden(case, tmp_path, monkeypatch, capsys):
     """Full stdout, stderr and exit code of every subcommand, both modes.
 
-    cli_golden.json was recorded before the CLI became table-driven.
+    cli_golden.json was recorded before the CLI became table-driven, and
+    before reports skipped json.dumps: no case may run json's pure-Python
+    encoder, and each --json report is the text json.dumps(indent=2,
+    sort_keys=True) writes for it.
     """
     graph, argv = case
     monkeypatch.chdir(tmp_path)
@@ -132,9 +135,17 @@ def test_cli_golden(case, tmp_path, monkeypatch, capsys):
         table = choose_representatives(parse_graph(json.dumps(doc)), degree)
         reps = {"degree": degree, "reps": [list(r) for r in table.values()]}
         (tmp_path / "reps.json").write_text(json.dumps(reps))
-    code = main(argv)
+    with monkeypatch.context() as m:
+        m.setattr(json.encoder, "_make_iterencode", _refuse_pure_python_encoder)
+        code = main(argv)
     out = capsys.readouterr()
     assert [code, out.out, out.err] == GOLDEN[golden_id(case)]
+    if "--json" in argv and out.out:
+        assert out.out == json.dumps(json.loads(out.out), indent=2, sort_keys=True) + "\n"
+
+
+def _refuse_pure_python_encoder(*args):
+    raise AssertionError("a report ran json.dumps with an indent")
 
 
 def test_parse_serialize_round_trip():
@@ -179,6 +190,26 @@ def test_report_json_round_trip():
         "inputs": {"graph": TWO_DELTA1},
         "outputs": {"epsilon": "infinity", "nested": [[1, 2], [3, 4]]},
     }
+
+
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\n\x1f\x7f", "\ud800", "\udfff\ud83d", "é", "\u2028", "\U0001f600"]
+)
+JSON_VALUES = st.recursive(
+    JSON_TEXT | st.integers() | st.sampled_from([10**40, -(10**40), -1]) | st.booleans()
+    | st.none() | st.floats(),  # floats: finite, ±inf and NaN
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(JSON_TEXT, kids),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_TEXT, st.dictionaries(JSON_TEXT, JSON_VALUES), st.dictionaries(JSON_TEXT, JSON_VALUES))
+@example("epsilon", {"graph": {"components": ["Cé"], "nodes": []}},
+         {"epsilon": -math.inf, "t": (), "m": {}, "x": [math.nan, 0.5, None, True, -(2**70)]})
+def test_report_json_is_json_dumps_byte_for_byte(command, inputs, outputs):
+    report = Report(command, inputs, outputs)
+    assert report.to_json() == json_report_oracle(report)
 
 
 def test_info_command(graph_file, capsys):

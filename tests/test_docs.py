@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import json
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import abelmap
@@ -39,3 +41,38 @@ def test_readme_command_table_lists_every_command():
     (table,) = re.findall(r"\| command \| what it does \|\n\| --- \| --- \|\n((?:\|.*\n)+)", text)
     listed = re.findall(r"^\| `([a-z-]+)", table, re.M)
     assert listed == [c.name for c in cli.COMMANDS]
+
+
+def test_readme_command_line_transcript(tmp_path, monkeypatch, capsys):
+    # each "$ abelmap ..." under "Command line" prints what the README shows,
+    # on the document of "Graph files" saved as two_delta3.json; "; echo $?"
+    # shows the exit code, and a command shown without it exits 0
+    text = README.read_text(encoding="utf-8")
+    (doc,) = re.findall(r"## Graph files\n.*?```json\n(.*?)```", text, re.S)
+    (block,) = re.findall(r"```\n(\$ abelmap .*?)```", text, re.S)
+    (tmp_path / "two_delta3.json").write_text(doc, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    entries = re.split(r"^\$ ", block, flags=re.M)[1:]
+    assert entries
+    for entry in entries:
+        command, _, shown = entry.partition("\n")
+        lines = shown.rstrip("\n").split("\n")
+        code = int(lines.pop()) if command.endswith("; echo $?") else 0
+        argv = shlex.split(command.removesuffix("; echo $?"))
+        assert argv[0] == "abelmap", command
+        assert (cli.main(argv[1:]), capsys.readouterr().out) == (code, "\n".join(lines) + "\n"), command
+
+
+def test_readme_json_layout(tmp_path, capsys):
+    # README: the --json layout is json.dumps(indent=2, sort_keys=True), with
+    # non-ASCII escaped and an infinite epsilon as the string "infinity"
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert ("two-space indent, sorted keys, every non-ASCII character escaped as `\\uXXXX`, "
+            'and ε = ∞ as the string `"infinity"`') in text
+    graph = tmp_path / "tree.json"
+    graph.write_text(json.dumps({"components": ["Cé", "C2"], "nodes": [["Cé", "C2"]]}))
+    assert cli.main(["epsilon", str(graph), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert '"C\\u00e9"' in out and "é" not in out
+    assert '"epsilon": "infinity"' in out
