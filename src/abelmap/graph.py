@@ -83,8 +83,8 @@ class CurveGraph:
             if a != b:
                 m[a][b] += 1
                 m[b][a] += 1
-        for i in range(g):
-            m[i][i] = -sum(m[i][j] for j in range(g) if j != i)
+                m[a][a] -= 1
+                m[b][b] -= 1
         return tuple(tuple(row) for row in m)
 
     @cached_property

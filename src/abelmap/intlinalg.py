@@ -10,19 +10,19 @@ Provided:
 
 The lattice module reads the class-group order off the Hermite pivots of
 one square matrix and checks it against the determinant of that matrix.
+That matrix is a Laplacian minor, with a few nonzeros per row, so both
+functions skip zeros: row_hnf runs each row operation over the nonzero
+entries of its source row (it costs row operations times source-row
+nonzeros, and sources stay sparse), and det_bareiss leaves alone the rows
+that miss a pivot column.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
-
-
-def _sub_scaled(target: list[int], source: list[int], q: int) -> None:
-    # target -= q * source, in place
-    for k in range(len(target)):
-        target[k] -= q * source[k]
 
 
 def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
@@ -31,43 +31,57 @@ def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     Returns (H, U) where U is unimodular, U @ mat == H, and H is upper
     triangular: each diagonal pivot is positive and the entries above it lie
     in [0, pivot).  Raises ValueError when mat is singular.
+
+    Row i of H and row i of U are kept as one list, so a row operation
+    target -= q * source updates both at once.  Every row operation, in the
+    Euclid steps and in the step that reduces the entries above each pivot,
+    runs over the nonzero entries of its source row only: they are listed
+    once per source row per pass (in H they all lie from column c on), and
+    Euclid on column c visits only the rows from c on that hold column c.
+    So the cost is the sum, over row operations, of the nonzeros in the
+    source row, plus per pass a scan of column c and the listing (a C-level
+    scan of one row).  Sources stay sparse: a source is a row from c on,
+    and such a row is never the target of an above-pivot step, so on a
+    Laplacian minor it stays about as sparse as the input.  Only the rows
+    above the pivot fill in, and once above it a row is never a source.
     """
     n = len(mat)
-    H = [list(row) for row in mat]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    R = [[*row, *[0] * n] for row in mat]  # row i: H's row i, then U's row i
+    for i in range(n):
+        R[i][n + i] = 1
+    cols = range(2 * n)
     for c in range(n):
-        # Euclid on column c over rows c..n-1 until a single nonzero survives.
-        while True:
-            best = None
-            for i in range(c, n):
-                if H[i][c] and (best is None or abs(H[i][c]) < abs(H[best][c])):
-                    best = i
-            if best is None:
-                raise ValueError("row_hnf needs a nonsingular matrix")
-            reduced = True
-            for i in range(c, n):
-                if i != best and H[i][c]:
-                    q = H[i][c] // H[best][c]
-                    if q:
-                        _sub_scaled(H[i], H[best], q)
-                        _sub_scaled(U[i], U[best], q)
-                    if H[i][c]:
-                        reduced = False
-            if reduced:
-                break
-        if best != c:
-            H[c], H[best] = H[best], H[c]
-            U[c], U[best] = U[best], U[c]
-        if H[c][c] < 0:
-            H[c] = [-x for x in H[c]]
-            U[c] = [-x for x in U[c]]
+        # Euclid on column c over the rows from c on that hold it, until one
+        # nonzero survives
+        rows = [i for i in range(c, n) if R[i][c]]
+        if not rows:
+            raise ValueError("row_hnf needs a nonsingular matrix")
+        while len(rows) > 1:
+            best = min(rows, key=lambda i: abs(R[i][c]))
+            src = R[best]
+            nz = list(compress(cols, src))
+            for i in rows:
+                if i != best:
+                    r = R[i]
+                    q = r[c] // src[c]
+                    for k in nz:
+                        r[k] -= q * src[k]
+            rows = [i for i in rows if R[i][c]]
+        best = rows[0]
+        R[c], R[best] = R[best], R[c]
+        src = R[c]
+        nz = list(compress(cols, src))
+        if src[c] < 0:
+            for k in nz:
+                src[k] = -src[k]
         # entries above the pivot reduced into [0, pivot)
         for i in range(c):
-            q = H[i][c] // H[c][c]
+            r = R[i]
+            q = r[c] // src[c]
             if q:
-                _sub_scaled(H[i], H[c], q)
-                _sub_scaled(U[i], U[c], q)
-    return H, U
+                for k in nz:
+                    r[k] -= q * src[k]
+    return [r[:n] for r in R], [r[n:] for r in R]
 
 
 def det_bareiss(mat: Matrix) -> int:

@@ -88,8 +88,14 @@ def _lattice(g: CurveGraph) -> tuple:
     keys on the curve object and keeps only the last one: the CLI holds one
     curve per process, and the harness finishes each X' before the next.
     The library builds it only for curves without a separating node.
+
+    Cost: laying out M' is O(gamma^2); row_hnf costs its row operations
+    times the nonzeros of their source rows, which stay sparse; the
+    preimage check is gamma - 1 passes over the edge list, O(gamma * E);
+    and Bareiss touches only the rows that meet each pivot column.  On the
+    doubled n-cycle with a chord the build grows about as n^2, not n^3.
     """
-    minor = [list(row[:-1]) for row in g.pairing_matrix[:-1]]
+    minor = [row[:-1] for row in g.pairing_matrix[:-1]]
     h, u = row_hnf(minor)
     basis = tuple(
         (row[r], (*row, -sum(row)), (*pre, 0)) for r, (row, pre) in enumerate(zip(h, u))

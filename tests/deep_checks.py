@@ -27,7 +27,8 @@ from abelmap import partitional_multidegrees
 from abelmap.abel import _least_shared_degree
 from abelmap.harness import _canonical_vectors, _graph_count, run_harness
 from abelmap.lattice import piece_totals
-from helpers import connected_multigraphs, dhar_reduced, doubled_cycle, edge_disjoint_paths_reach as reach
+from helpers import chorded_doubled_cycle, connected_multigraphs, dhar_reduced, doubled_cycle
+from helpers import edge_disjoint_paths_reach as reach
 from helpers import listing_least_shared_degree, loop_placements, loopful_orbit_minimum, subdivided
 
 # the children import this abelmap, and helpers from this directory
@@ -148,12 +149,13 @@ def chip_firing_disagreements(graphs: list, max_degree: int) -> tuple:
 
 
 def large_curves() -> tuple:
-    # one lattice build at scale, its Matrix-Tree check a 299 x 299 Bareiss
-    # determinant, and one class walk over 20301 partitional multidegrees
+    # lattice builds at scale, the largest a 599 x 599 Hermite form with its
+    # Matrix-Tree check, and one class walk over 20301 partitional multidegrees
     order = class_group_order(doubled_cycle(300))
-    g = doubled_cycle(200)
-    g = CurveGraph(g.components, g.edges + ((0, 100),))
-    return order == 300 * 2**299, is_natural(g, 2), essential_connectivity(g) > 2
+    chorded = class_group_order(chorded_doubled_cycle(600))
+    g = chorded_doubled_cycle(200)
+    return (order == 300 * 2**299, chorded == 91200 * 2**598, is_natural(g, 2),
+            essential_connectivity(g) > 2)
 
 
 def harness_report(max_gamma: int, max_edges: int, max_degree: int) -> tuple:
@@ -203,8 +205,9 @@ def main() -> None:
         name = f"harness ({gamma}, {edges}, 4): graphs, checks, ok"
         pin(name, harness_report(gamma, edges, 4), (graphs, 4 * graphs, True))
     pin("python -O self-checks: exit code", optimized_child(), 0)
-    pin("doubled 300-cycle: 300 * 2^299 classes; doubled 200-cycle and a chord: natural"
-        " at degree 2 by classes, by epsilon", large_curves(), (True, True, True))
+    pin("doubled 300-cycle: 300 * 2^299 classes; doubled 600-cycle and a chord: 91200 * 2^598"
+        " classes; doubled 200-cycle and a chord: natural at degree 2 by classes, by epsilon",
+        large_curves(), (True, True, True, True))
 
     corpus = list(connected_multigraphs(7, 9))
     pin("loopless graphs (7, 9)", len(corpus), 4208)

@@ -54,6 +54,12 @@ def doubled_cycle(n: int) -> CurveGraph:
     return CurveGraph(labels, [(i, (i + 1) % n) for i in range(n)] * 2)
 
 
+def chorded_doubled_cycle(n: int) -> CurveGraph:
+    """The doubled n-cycle with one more node, joining components 0 and n/2."""
+    ring = doubled_cycle(n)
+    return CurveGraph(ring.components, ring.edges + ((0, n // 2),))
+
+
 def subdivided(g: CurveGraph, rng) -> CurveGraph:
     """The loopless g with the nodes joining each pair of adjacent components
     replaced by a chain of 1-3 new components between the pair, each link of
@@ -379,6 +385,53 @@ def multidegree_by_pairing_matrix(g: CurveGraph, d) -> tuple:
     """deg D as the dense product of the pairing matrix with D."""
     m = g.pairing_matrix
     return tuple(sum(m[i][j] * d[j] for j in range(g.gamma)) for i in range(g.gamma))
+
+
+def _sub_scaled(target: list[int], source: list[int], q: int) -> None:
+    # target -= q * source, in place, over every entry
+    for k in range(len(target)):
+        target[k] -= q * source[k]
+
+
+def dense_row_hnf(mat) -> tuple[list[list[int]], list[list[int]]]:
+    """row_hnf with every row operation over whole dense rows of H and U,
+    and Euclid scanning every row from c on: the oracle for the sparse one."""
+    n = len(mat)
+    H = [list(row) for row in mat]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        # Euclid on column c over rows c..n-1 until a single nonzero survives.
+        while True:
+            best = None
+            for i in range(c, n):
+                if H[i][c] and (best is None or abs(H[i][c]) < abs(H[best][c])):
+                    best = i
+            if best is None:
+                raise ValueError("row_hnf needs a nonsingular matrix")
+            reduced = True
+            for i in range(c, n):
+                if i != best and H[i][c]:
+                    q = H[i][c] // H[best][c]
+                    if q:
+                        _sub_scaled(H[i], H[best], q)
+                        _sub_scaled(U[i], U[best], q)
+                    if H[i][c]:
+                        reduced = False
+            if reduced:
+                break
+        if best != c:
+            H[c], H[best] = H[best], H[c]
+            U[c], U[best] = U[best], U[c]
+        if H[c][c] < 0:
+            H[c] = [-x for x in H[c]]
+            U[c] = [-x for x in U[c]]
+        # entries above the pivot reduced into [0, pivot)
+        for i in range(c):
+            q = H[i][c] // H[c][c]
+            if q:
+                _sub_scaled(H[i], H[c], q)
+                _sub_scaled(U[i], U[c], q)
+    return H, U
 
 
 def bridge_tails(g: CurveGraph) -> list[frozenset]:

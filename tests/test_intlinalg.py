@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
 from sympy.matrices.normalforms import smith_normal_form
 
 from abelmap.intlinalg import det_bareiss, row_hnf
-from helpers import doubled_cycle
+from helpers import connected_graphs, connected_multigraphs, dense_row_hnf, doubled_cycle
 
 
 def _random_matrix(rng, m, n, lo=-9, hi=9):
@@ -64,6 +65,34 @@ def test_row_hnf_transform_and_shape():
             assert h[r][r] > 0
             for i in range(r):
                 assert 0 <= h[i][r] < h[r][r]
+
+
+def _minor(g):
+    return [list(row[:-1]) for row in g.pairing_matrix[:-1]]
+
+
+@settings(deadline=None)
+@given(connected_graphs(max_gamma=40))
+def test_sparse_row_hnf_matches_the_dense_oracle(g):
+    # Laplacian minors of sparse multigraphs (a spanning tree plus a few
+    # extra and parallel nodes, relabeled): the Hermite form is unique, so
+    # H must equal the dense oracle's, and U must be a unimodular transform
+    mat = _minor(g)
+    h, u = row_hnf(mat)
+    assert h == dense_row_hnf(mat)[0]
+    n = len(mat)
+    for i in range(n):
+        for j in range(n):
+            assert sum(u[i][k] * mat[k][j] for k in range(n)) == h[i][j]
+    assert abs(det_bareiss(u)) == 1
+
+
+def test_sparse_row_hnf_matches_the_dense_oracle_on_the_corpus():
+    bridgeless = [g for g, _ in connected_multigraphs(6, 9) if not g.bridges]
+    assert len(bridgeless) == 731
+    for g in bridgeless:
+        mat = _minor(g)
+        assert row_hnf(mat) == dense_row_hnf(mat), g
 
 
 def test_row_hnf_refuses_a_singular_matrix():

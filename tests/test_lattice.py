@@ -28,6 +28,8 @@ from abelmap import (
     class_group_order,
     enumerate_classes,
     equivalent,
+    essential_connectivity,
+    is_natural,
     lattice,
     multidegree_class,
     multidegree_of,
@@ -39,6 +41,7 @@ from abelmap.lattice import LISTING_LIMIT, _place, piece_totals
 from helpers import (
     bridges_by_removal,
     choose_representatives_by_gamma,
+    chorded_doubled_cycle,
     connected_graphs,
     connected_multigraphs,
     cycle,
@@ -188,6 +191,17 @@ def test_class_group_order_examples():
     assert class_group_order(cycle(3)) == 3
     assert class_group_order(path(4)) == 1
     assert class_group_order(triangle_with_pendant()) == 3
+
+
+@pytest.mark.parametrize("n", [40, 120])
+def test_class_group_order_of_a_chorded_doubled_cycle(n):
+    # deletion-contraction on the antipodal chord: deleting it leaves the
+    # doubled n-cycle, n * 2^(n-1) trees; contracting it leaves two doubled
+    # (n/2)-cycles that share one component, (n/2 * 2^(n/2-1))^2 trees
+    g = chorded_doubled_cycle(n)
+    assert class_group_order(g) == n * 2 ** (n - 1) + (n // 2) ** 2 * 2 ** (n - 2)
+    if n == 40:
+        assert is_natural(g, 2) == (essential_connectivity(g) > 2)
 
 
 def test_enumerate_classes_basics():
