@@ -25,9 +25,9 @@ Conventions used throughout the package:
     trivial, so every question the package asks of pieces (essential
     connectivity, the brute-force verdict, the classes) is asked of X'.
 
-The library needs no pairing or cut of subcurves: it reads the pairing
-matrix and the pieces, and the test suite keeps those subcurve forms as
-oracles.
+The library needs no pairing matrix and no pairing or cut of subcurves:
+it reads the edge list and the pieces, and the test suite keeps those forms
+as oracles.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ class CurveGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def pairing_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """(C_i . C_j) as a gamma x gamma symmetric matrix with zero row sums."""
-        g = self.gamma
-        m = [[0] * g for _ in range(g)]
-        for a, b in self.edges:
-            if a != b:
-                m[a][b] += 1
-                m[b][a] += 1
-                m[a][a] -= 1
-                m[b][b] -= 1
-        return tuple(tuple(row) for row in m)
 
     @cached_property
     def bridges(self) -> NodeSet:

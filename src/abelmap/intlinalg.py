@@ -11,10 +11,9 @@ Provided:
 The lattice module reads the class-group order off the Hermite pivots of
 one square matrix and checks it against the determinant of that matrix.
 That matrix is a Laplacian minor, with a few nonzeros per row, so both
-functions skip zeros: row_hnf runs each row operation over the nonzero
-entries of its source row (it costs row operations times source-row
-nonzeros, and sources stay sparse), and det_bareiss leaves alone the rows
-that miss a pivot column.
+functions skip zeros: row_hnf runs Euclid on the row lists themselves, each
+row operation over the nonzero entries of its source row (sources stay
+sparse), and det_bareiss leaves alone the rows that miss a pivot column.
 """
 
 from __future__ import annotations
@@ -33,51 +32,57 @@ def row_hnf(mat: Matrix) -> tuple[list[list[int]], list[list[int]]]:
     in [0, pivot).  Raises ValueError when mat is singular.
 
     Row i of H and row i of U are kept as one list, so a row operation
-    target -= q * source updates both at once.  Every row operation, in the
-    Euclid steps and in the step that reduces the entries above each pivot,
-    runs over the nonzero entries of its source row only: they are listed
-    once per source row per pass (in H they all lie from column c on), and
-    Euclid on column c visits only the rows from c on that hold column c.
-    So the cost is the sum, over row operations, of the nonzeros in the
-    source row, plus per pass a scan of column c and the listing (a C-level
-    scan of one row).  Sources stay sparse: a source is a row from c on,
-    and such a row is never the target of an above-pivot step, so on a
-    Laplacian minor it stays about as sparse as the input.  Only the rows
-    above the pivot fill in, and once above it a row is never a source.
+    target -= q * source updates both at once.  Euclid on column c works on
+    those row objects, the ones from c on that hold column c, with a source
+    of least |entry|.  Every row operation, there and in the step that
+    reduces the entries above each pivot, runs over the nonzero entries of
+    its source row only, listed once per source per pass.  So the cost is
+    the sum, over row operations, of the nonzeros in the source row, plus
+    per pass a scan of column c.  Sources stay sparse: a source is a row
+    from c on, never the target of an above-pivot step.  A pass that does
+    not lower the least |entry| of column c below its source's raises
+    RuntimeError (also under python -O) rather than loop forever.
     """
     n = len(mat)
-    R = [[*row, *[0] * n] for row in mat]  # row i: H's row i, then U's row i
-    for i in range(n):
-        R[i][n + i] = 1
+    # row i: H's row i, then U's row i
+    R = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(mat)]
     cols = range(2 * n)
     for c in range(n):
         # Euclid on column c over the rows from c on that hold it, until one
-        # nonzero survives
-        rows = [i for i in range(c, n) if R[i][c]]
+        # nonzero survives: the last source, as a source is never a target
+        rows = [r for r in R[c:] if r[c]]
         if not rows:
             raise ValueError("row_hnf needs a nonsingular matrix")
+        src, nz, last = rows[0], None, 0
         while len(rows) > 1:
-            best = min(rows, key=lambda i: abs(R[i][c]))
-            src = R[best]
+            least = abs(src[c])
+            for r in rows:
+                if abs(r[c]) < least:
+                    src, least = r, abs(r[c])
+            if last and least >= last:
+                raise RuntimeError(f"row_hnf: a Euclid pass made no progress on column {c}")
+            last = least
             nz = list(compress(cols, src))
-            for i in rows:
-                if i != best:
-                    r = R[i]
-                    q = r[c] // src[c]
+            p = src[c]
+            for r in rows:
+                if r is not src:
+                    q = r[c] // p
                     for k in nz:
                         r[k] -= q * src[k]
-            rows = [i for i in rows if R[i][c]]
-        best = rows[0]
-        R[c], R[best] = R[best], R[c]
-        src = R[c]
-        nz = list(compress(cols, src))
-        if src[c] < 0:
+            rows = [r for r in rows if r[c]]
+        if src is not R[c]:  # rows stay independent, so no other row equals src
+            i = R.index(src, c)
+            R[c], R[i] = src, R[c]
+        if nz is None:
+            nz = list(compress(cols, src))
+        p = src[c]
+        if p < 0:
+            p = -p
             for k in nz:
                 src[k] = -src[k]
         # entries above the pivot reduced into [0, pivot)
-        for i in range(c):
-            r = R[i]
-            q = r[c] // src[c]
+        for r in R[:c]:
+            q = r[c] // p
             if q:
                 for k in nz:
                     r[k] -= q * src[k]

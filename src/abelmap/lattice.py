@@ -89,13 +89,21 @@ def _lattice(g: CurveGraph) -> tuple:
     curve per process, and the harness finishes each X' before the next.
     The library builds it only for curves without a separating node.
 
-    Cost: laying out M' is O(gamma^2); row_hnf costs its row operations
-    times the nonzeros of their source rows, which stay sparse; the
-    preimage check is gamma - 1 passes over the edge list, O(gamma * E);
-    and Bareiss touches only the rows that meet each pivot column.  On the
-    doubled n-cycle with a chord the build grows about as n^2, not n^3.
+    Cost: laying out M' is O(gamma^2) zeros plus one pass over E; row_hnf
+    costs its row operations times the nonzeros of their source rows, which
+    stay sparse; the preimage check, which also certifies M', is gamma - 1
+    passes over E; Bareiss touches only the rows that meet each pivot
+    column.  On the doubled n-cycle with a chord it grows about as n^2.
     """
-    minor = [row[:-1] for row in g.pairing_matrix[:-1]]
+    n = g.gamma - 1
+    minor = [[0] * n for _ in range(n)]
+    for a, b in g.edges:  # a <= b, so a node off a loop has a < n
+        if a != b:
+            minor[a][a] -= 1
+            if b < n:
+                minor[a][b] += 1
+                minor[b][a] += 1
+                minor[b][b] -= 1
     h, u = row_hnf(minor)
     basis = tuple(
         (row[r], (*row, -sum(row)), (*pre, 0)) for r, (row, pre) in enumerate(zip(h, u))

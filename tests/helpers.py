@@ -93,6 +93,19 @@ def subcurve(g: CurveGraph, indices) -> frozenset:
     return z
 
 
+def pairing_matrix(g: CurveGraph) -> tuple[tuple[int, ...], ...]:
+    """(C_i . C_j) as a gamma x gamma symmetric matrix with zero row sums;
+    loops add nothing."""
+    m = [[0] * g.gamma for _ in range(g.gamma)]
+    for a, b in g.edges:
+        if a != b:
+            m[a][b] += 1
+            m[b][a] += 1
+            m[a][a] -= 1
+            m[b][b] -= 1
+    return tuple(tuple(row) for row in m)
+
+
 def pairing(g: CurveGraph, z, w) -> int:
     """Intersection pairing (Z . W), bilinear in both subcurves.
 
@@ -100,7 +113,7 @@ def pairing(g: CurveGraph, z, w) -> int:
     """
     zs = subcurve(g, z)
     ws = subcurve(g, w)
-    m = g.pairing_matrix
+    m = pairing_matrix(g)
     return sum(m[i][j] for i in zs for j in ws)
 
 
@@ -235,7 +248,7 @@ def dhar_reduced(g: CurveGraph, p, lift: int) -> tuple:
     reduced(x + k) is not reduced(x) + k.  The lifted entries off
     component 0 must be >= 0.
     """
-    m = g.pairing_matrix
+    m = pairing_matrix(g)
     c = [x + lift for x in p]
     if min(c[1:], default=0) < 0:
         raise ValueError(f"{tuple(c)} is negative off component 0")
@@ -383,7 +396,7 @@ def bridges_by_removal(g: CurveGraph) -> frozenset:
 
 def multidegree_by_pairing_matrix(g: CurveGraph, d) -> tuple:
     """deg D as the dense product of the pairing matrix with D."""
-    m = g.pairing_matrix
+    m = pairing_matrix(g)
     return tuple(sum(m[i][j] * d[j] for j in range(g.gamma)) for i in range(g.gamma))
 
 

@@ -47,6 +47,7 @@ from helpers import (
     is_natural_by_piece_totals,
     listing_least_shared_degree,
     multigraphs_with_loops,
+    pairing_matrix,
     path,
     star,
     subdivided,
@@ -378,7 +379,7 @@ def test_the_reversed_walk_finds_every_degree_the_set_test_finds():
     # below its answer are those at which the set of classes has no repeat
     contracted = {}
     for g, _ in connected_multigraphs(6, 9):
-        contracted.setdefault(g.contracted.pairing_matrix, g.contracted)
+        contracted.setdefault(pairing_matrix(g.contracted), g.contracted)
     assert len(contracted) == 1376
     for x in contracted.values():
         distinct = [d for d in range(1, 6) if classes_are_distinct(x, d)]
@@ -393,7 +394,7 @@ def test_the_class_walk_equals_the_listing_walk():
     # vectors and looks each one's class up
     curves, contracted = [g for g, _ in connected_multigraphs(5, 8)], {}
     for g in curves:
-        contracted.setdefault(g.contracted.pairing_matrix, g.contracted)
+        contracted.setdefault(pairing_matrix(g.contracted), g.contracted)
     assert len(contracted) == 304
     for x in contracted.values():
         for top in range(1, 6):

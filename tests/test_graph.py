@@ -17,6 +17,7 @@ from helpers import (
     cycle,
     multigraphs_with_loops,
     pairing,
+    pairing_matrix,
     path,
     triangle_with_pendant,
     two_component,
@@ -40,12 +41,12 @@ def test_pairing_ignores_loops():
     assert pairing(g, {0}, {0}) == 0
     plain = two_component(2)
     loopy = two_component(2, loops=(0, 1, 1))
-    assert plain.pairing_matrix == loopy.pairing_matrix
+    assert pairing_matrix(plain) == pairing_matrix(loopy)
 
 
 def test_pairing_three_cycle():
     g = cycle(3)
-    assert g.pairing_matrix == ((-2, 1, 1), (1, -2, 1), (1, 1, -2))
+    assert pairing_matrix(g) == ((-2, 1, 1), (1, -2, 1), (1, 1, -2))
 
 
 def test_pairing_bilinear_symmetric_degenerate():

@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from sympy.matrices.normalforms import smith_normal_form
 
+import abelmap
 from abelmap.intlinalg import det_bareiss, row_hnf
-from helpers import connected_graphs, connected_multigraphs, dense_row_hnf, doubled_cycle
+from helpers import (
+    connected_graphs,
+    connected_multigraphs,
+    dense_row_hnf,
+    doubled_cycle,
+    pairing_matrix,
+)
 
 
 def _random_matrix(rng, m, n, lo=-9, hi=9):
@@ -68,7 +80,7 @@ def test_row_hnf_transform_and_shape():
 
 
 def _minor(g):
-    return [list(row[:-1]) for row in g.pairing_matrix[:-1]]
+    return [list(row[:-1]) for row in pairing_matrix(g)[:-1]]
 
 
 @settings(deadline=None)
@@ -108,6 +120,29 @@ def test_row_hnf_refuses_a_singular_matrix():
         assert det_bareiss(mat) == 0
         with pytest.raises(ValueError, match="nonsingular"):
             row_hnf(mat)
+
+
+def test_a_euclid_pass_that_makes_no_progress_raises_under_python_O():
+    # with the nonzero listing patched to yield nothing, no Euclid pass
+    # changes a row; row_hnf must raise, even under python -O, and not spin
+    # (the timeout turns a spin into a failure)
+    script = textwrap.dedent("""
+        from abelmap import intlinalg
+
+        intlinalg.compress = lambda data, selectors: iter(())
+        try:
+            intlinalg.row_hnf([[-2, 1], [1, -2]])
+        except RuntimeError as exc:
+            print(exc)
+    """)
+    src = str(Path(abelmap.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.stdout == "row_hnf: a Euclid pass made no progress on column 0\n", (
+        proc.stdout, proc.stderr)
 
 
 def test_smith_invariants_against_sympy():
@@ -158,5 +193,5 @@ def test_det_bareiss_counts_the_spanning_trees_of_a_doubled_cycle():
     # of nodes, then take one node of each other pair.  Its Laplacian minor
     # is tridiagonal but for one corner row, so most rows skip each step
     for n in (2, 3, 16, 100, 300):
-        minor = [list(row[:-1]) for row in doubled_cycle(n).pairing_matrix[:-1]]
+        minor = [list(row[:-1]) for row in pairing_matrix(doubled_cycle(n))[:-1]]
         assert abs(det_bareiss(minor)) == n * 2 ** (n - 1), n

@@ -52,6 +52,7 @@ from helpers import (
     doubled_cycle,
     multidegree_by_pairing_matrix,
     multigraphs_with_loops,
+    pairing_matrix,
     path,
     star,
     triangle_with_pendant,
@@ -242,7 +243,7 @@ def test_order_cross_check_over_enumeration():
     # class_group_order raises internally if the Hermite pivot product and
     # Matrix-Tree disagree; sympy's Smith form is a third, independent count
     for g in multigraphs_with_loops(4, 5):
-        snf = smith_normal_form(sympy.Matrix(g.pairing_matrix))
+        snf = smith_normal_form(sympy.Matrix(pairing_matrix(g)))
         order = math.prod(abs(int(x)) for x in snf.diagonal() if x)
         assert class_group_order(g) == order == len(enumerate_classes(g, 0))
 
